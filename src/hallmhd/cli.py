@@ -3,7 +3,8 @@
 Subcommands: run (one configured simulation), experiment (a preset
 orchestration), check (static identity/probe suites), inspect (snapshot
 header dump).  Exit codes: 0 pass, 1 monitor failure, 2 configuration
-or input error, 3 numeric failure.
+or input error (any ValueError the library raises on its inputs), 3
+numeric failure (NumericsError, FloatingPointError).
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .config import ConfigError, RunConfig, config_from_mapping, parse_config_file
+from .config import ConfigError, config_from_mapping, parse_config_file
 from .presets import PRESETS, experiment, preset_run_config
 from .runner import NumericsError, run
 from .snapshots import SnapshotFormatError, inspect_snapshot
@@ -69,7 +71,7 @@ def _cmd_run(args) -> int:
         cfg = config_from_mapping(mapping)
     else:
         for key, val in mapping.items():
-            cfg = config_from_mapping({**_cfg_to_map(cfg), key: val})
+            cfg = config_from_mapping({**asdict(cfg), key: val})
     for key in ("seed", "n", "dt", "t_end"):
         val = getattr(args, key)
         if val is not None:
@@ -81,12 +83,6 @@ def _cmd_run(args) -> int:
     print(json.dumps({"out_dir": str(result.out_dir), "pass": result.passed},
                      sort_keys=True))
     return EXIT_PASS if result.passed else EXIT_MONITOR_FAIL
-
-
-def _cfg_to_map(cfg: RunConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def _cmd_experiment(args) -> int:
@@ -125,10 +121,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SnapshotFormatError, FileNotFoundError) as e:
+    except (SnapshotFormatError, FileNotFoundError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except NumericsError as e:
+    except (NumericsError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC_FAIL
 

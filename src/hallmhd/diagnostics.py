@@ -30,7 +30,7 @@ import numpy as np
 from .fields import SpectralField, l2_inner
 from .grid import GridSpec
 from .norms import hs_norm
-from .operators import curl3, to_physical, to_spectral
+from .operators import curl3, k2_power, to_physical, to_spectral
 from .params import PhysicalParams, StepControl
 from .solver3d import SimState3D, StepSession, _SYM, make_state
 
@@ -119,13 +119,7 @@ def _ip(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _lam(grid: GridSpec, c: np.ndarray, s: float) -> np.ndarray:
-    if s == 0:
-        return c
-    with np.errstate(divide="ignore"):
-        w = np.where(grid.k2 > 0, grid.k2, 1.0) ** (0.5 * s)
-    out = c * w
-    out[(Ellipsis,) + (0,) * grid.dim] = 0.0
-    return out
+    return c if s == 0 else c * k2_power(grid.k2, 0.5 * s)
 
 
 def _tensor_pairing(grid: GridSpec, T6: np.ndarray, w: np.ndarray) -> float:
@@ -349,8 +343,7 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
     nsteps = round(control.t_end / control.dt)
 
     def weight_now() -> float:
-        h1 = (sA.hs2("u", 1.0) + sA.hs2("B", 1.0)
-              + sp.sum_hs2(sp._curl(sA.fields[1]), 1.0))
+        h1 = sA.hs2("u", 1.0) + sA.hs2("B", 1.0) + sA.hs2("curl_B", 1.0)
         return h1 ** 2
 
     def snap():

@@ -19,12 +19,32 @@ from .grid import GridSpec
 
 __all__ = [
     "SpectralField",
+    "to_spectral",
+    "to_physical",
     "conj_reflect",
     "hermitianize_plane",
     "l2_inner",
 ]
 
-_FFT_AXES = {2: (-2, -1), 3: (-3, -2, -1)}
+
+# transforms (scipy.fft.rfftn/irfftn are looked up at call time, so they
+# can be wrapped from outside, e.g. to count transforms) ----------------
+
+def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Forward DFT, u_hat(k) = N^-d sum_j u(x_j) e^{-ik.x_j}, over the
+    trailing grid.dim axes; accepts any leading batch axes."""
+    values = np.asarray(values)
+    if values.shape[-grid.dim:] != grid.physical_shape:
+        raise ValueError(f"trailing shape {values.shape[-grid.dim:]} != {grid.physical_shape}")
+    return sfft.rfftn(values, axes=grid.fft_axes, norm="forward")
+
+
+def to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of to_spectral on band-limited data."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-grid.dim:] != grid.spectral_shape:
+        raise ValueError(f"trailing shape {coeffs.shape[-grid.dim:]} != {grid.spectral_shape}")
+    return sfft.irfftn(coeffs, s=grid.physical_shape, axes=grid.fft_axes, norm="forward")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +69,10 @@ class SpectralField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (3,) + grid.physical_shape:
             raise ValueError(f"physical shape {values.shape} != {(3,) + grid.physical_shape}")
-        c = sfft.rfftn(values, axes=_FFT_AXES[grid.dim], norm="forward")
-        return cls(grid, c, is_divfree)
+        return cls(grid, to_spectral(grid, values), is_divfree)
 
     def to_physical(self) -> np.ndarray:
-        return sfft.irfftn(self.c, s=self.grid.physical_shape, axes=_FFT_AXES[self.grid.dim], norm="forward")
+        return to_physical(self.grid, self.c)
 
     def with_coeffs(self, c: np.ndarray, is_divfree: bool | None = None) -> "SpectralField":
         return replace(self, c=c, is_divfree=self.is_divfree if is_divfree is None else is_divfree)

@@ -88,8 +88,9 @@ class GridSpec:
         return (self.n,) * self.dim
 
     @property
-    def domain_length(self) -> float:
-        return 2.0 * np.pi
+    def fft_axes(self) -> tuple[int, ...]:
+        """Trailing array axes that carry the grid (leading axes batch)."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def k_cutoff(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import SpectralField
 from .grid import GridSpec
-from .operators import spectral_pad, to_physical
+from .operators import _check_mean_free, k2_power, spectral_pad, to_physical
 
 __all__ = [
     "hs_norm",
@@ -29,29 +29,21 @@ __all__ = [
 ]
 
 
-def _hs_weight(grid: GridSpec, s: float) -> np.ndarray:
-    if s == 0:
-        w = np.ones_like(grid.k2)
-        w[(0,) * grid.dim] = 0.0
-        return w
-    with np.errstate(divide="ignore"):
-        w = np.where(grid.k2 > 0, grid.k2, 1.0) ** s
-    w[(0,) * grid.dim] = 0.0
-    return w
+def _mode_norm(grid: GridSpec, c: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(sum_k w(k) |c(k)|^2) over the stored lattice, summed over any
+    leading component axes."""
+    mag2 = c.real**2 + c.imag**2
+    if c.ndim > grid.dim:
+        mag2 = mag2.sum(axis=tuple(range(c.ndim - grid.dim)))
+    return float(np.sqrt(np.sum(grid.pair_weight * w * mag2)))
 
 
 def hs_norm_scalar(grid: GridSpec, c: np.ndarray, s: float) -> float:
     if not np.all(np.isfinite(c)):
         raise FloatingPointError("non-finite spectral coefficients")
     if s < 0:
-        mean = float(np.abs(c[(Ellipsis,) + (0,) * grid.dim]).max())
-        if mean > 1e-13 * (float(np.abs(c).max()) or 1.0):
-            raise ValueError("H^s norm with s < 0 requires a mean-free field")
-    w = grid.pair_weight * _hs_weight(grid, s)
-    mag2 = c.real**2 + c.imag**2
-    if c.ndim > grid.dim:
-        mag2 = mag2.sum(axis=tuple(range(c.ndim - grid.dim)))
-    return float(np.sqrt(np.sum(w * mag2)))
+        _check_mean_free(grid, c, "H^s norm with s < 0")
+    return _mode_norm(grid, c, k2_power(grid.k2, s))
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -65,11 +57,7 @@ def inhomogeneous_hs_norm(f: SpectralField | np.ndarray, s: float, grid: GridSpe
         grid, c = f.grid, f.c
     else:
         c = f
-    w = grid.pair_weight * (1.0 + grid.k2) ** s
-    mag2 = c.real**2 + c.imag**2
-    if c.ndim > grid.dim:
-        mag2 = mag2.sum(axis=tuple(range(c.ndim - grid.dim)))
-    return float(np.sqrt(np.sum(w * mag2)))
+    return _mode_norm(grid, c, (1.0 + grid.k2) ** s)
 
 
 @lru_cache(maxsize=8)

@@ -10,14 +10,14 @@ SpectralField.  Transforms use the forward-normalized DFT throughout.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
-from .fields import SpectralField
+from .fields import SpectralField, to_physical, to_spectral
 from .grid import GridSpec
 
 __all__ = [
     "to_spectral",
     "to_physical",
+    "k2_power",
     "apply_lambda",
     "apply_lambda_scalar",
     "curl3",
@@ -34,36 +34,15 @@ __all__ = [
     "spectral_pad",
 ]
 
-_FFT_AXES = {2: (-2, -1), 3: (-3, -2, -1)}
-
-
-# transforms -----------------------------------------------------------
-
-def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Forward DFT, u_hat(k) = N^-d sum_j u(x_j) e^{-ik.x_j}; accepts any
-    leading batch axes over arrays of physical shape."""
-    values = np.asarray(values)
-    if values.shape[-grid.dim:] != grid.physical_shape:
-        raise ValueError(f"trailing shape {values.shape[-grid.dim:]} != {grid.physical_shape}")
-    return sfft.rfftn(values, axes=_FFT_AXES[grid.dim], norm="forward")
-
-
-def to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of to_spectral on band-limited data."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-grid.dim:] != grid.spectral_shape:
-        raise ValueError(f"trailing shape {coeffs.shape[-grid.dim:]} != {grid.spectral_shape}")
-    return sfft.irfftn(coeffs, s=grid.physical_shape, axes=_FFT_AXES[grid.dim], norm="forward")
-
-
 # fractional derivative ------------------------------------------------
 
-def _lambda_symbol(grid: GridSpec, s: float) -> np.ndarray:
-    if s == 0:
-        return np.ones_like(grid.kabs)
+def k2_power(k2: np.ndarray, p: float) -> np.ndarray:
+    """The Fourier symbol (|k|^2)^p, 0 at k = 0: |k|^(2s) weights the
+    homogeneous H^s norm (p = s), Lambda^s multiplies by p = s/2.  k2 is
+    any array of squared wavenumbers (full lattice or a compact band)."""
     with np.errstate(divide="ignore"):
-        sym = np.where(grid.k2 > 0, grid.kabs, 1.0) ** s
-    sym[(0,) * grid.dim] = 0.0
+        sym = np.where(k2 > 0, k2, 1.0) ** p
+    sym[k2 == 0] = 0.0
     return sym
 
 
@@ -75,9 +54,11 @@ def _check_mean_free(grid: GridSpec, c: np.ndarray, what: str) -> None:
 
 
 def apply_lambda_scalar(grid: GridSpec, c: np.ndarray, s: float) -> np.ndarray:
+    if s == 0:
+        return c.copy()
     if s < 0:
         _check_mean_free(grid, c, "Lambda^s with s < 0")
-    return c * _lambda_symbol(grid, s)
+    return c * k2_power(grid.k2, 0.5 * s)
 
 
 def apply_lambda(f: SpectralField, s: float) -> SpectralField:
@@ -114,10 +95,6 @@ def curl2(f: SpectralField) -> SpectralField:
     out[1] = -1j * k1 * c[2]
     out[2] = 1j * (k1 * c[1] - k2 * c[0])
     return SpectralField(g, out, is_divfree=True)
-
-
-def curl(f: SpectralField) -> SpectralField:
-    return curl3(f) if f.grid.dim == 3 else curl2(f)
 
 
 def curl_inverse(f: SpectralField) -> SpectralField:

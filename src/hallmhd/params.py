@@ -38,14 +38,11 @@ class StepControl:
 
     dt: float
     t_end: float
-    scheme: str = "if-rk2"
     hall_cfl: float = 0.25
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme != "if-rk2":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.hall_cfl <= 1:
             raise ValueError(f"hall_cfl must be in (0, 1], got {self.hall_cfl}")
 

@@ -18,7 +18,7 @@ from .diagnostics import monotonicity_monitor, weakstrong_monitor
 from .grid import GridSpec
 from .operators import leray_project
 from .params import CFLError, PhysicalParams, StepControl, required_dt
-from .runner import NumericsError, run
+from .runner import NumericsError, _json_default, run
 from .sampling import single_mode_field
 
 __all__ = ["ExperimentPreset", "PRESETS", "experiment", "preset_run_config",
@@ -244,11 +244,3 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
         json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return report
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    raise TypeError(f"not serializable: {type(o)}")

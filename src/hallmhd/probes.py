@@ -15,11 +15,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import GridSpec
 from .norms import hs_norm_scalar, lp_norm_scalar
-from .operators import apply_lambda_scalar, spectral_pad, to_physical
+from .operators import apply_lambda_scalar, spectral_pad, to_physical, to_spectral
 from .sampling import random_scalar
 
 __all__ = ["ProbeReport", "inequality_probe", "kato_ponce_probe", "registered_inequalities"]
@@ -208,10 +207,10 @@ def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: fl
             continue
         fp = to_physical(grid, f)
         gp = to_physical(grid, g)
-        fg = _spec(grid, fp * gp)
+        fg = to_spectral(grid, fp * gp)
         ls_fg = apply_lambda_scalar(grid, fg, s)
         ls_g = apply_lambda_scalar(grid, g, s)
-        comm = ls_fg - _spec(grid, fp * to_physical(grid, ls_g))
+        comm = ls_fg - to_spectral(grid, fp * to_physical(grid, ls_g))
         lhs_comm = lp_norm_scalar(grid, comm, p)
         rhs_comm = (
             _grad_magnitude_lp(grid, f, p1) * lp_norm_scalar(grid, apply_lambda_scalar(grid, g, s - 1.0), p2)
@@ -241,7 +240,3 @@ def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: fl
         "commutator": report(f"kato-ponce-commutator-s{s}", comm_ratios),
         "product": report(f"kato-ponce-product-s{s}", prod_ratios),
     }
-
-
-def _spec(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")

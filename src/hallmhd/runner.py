@@ -1,6 +1,10 @@
 """Run driver: advances one configured simulation, samples diagnostics,
 and writes timeseries.csv, snapshots and summary.json into the run
-directory.  Every output byte is determined by (config, seed)."""
+directory.  Every output byte is determined by (config, seed).
+
+3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
+3D physical system on a 2D lattice); a per-dimension monitor supplies
+the dissipation integrands, the sample rows and the summary keys."""
 
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .operators import band_filter
 from .params import CFLError, PhysicalParams, StepControl, required_dt
 from .snapshots import write_snapshot
 
-__all__ = ["run", "RunResult", "NumericsError", "build_initial_3d"]
+__all__ = ["run", "RunResult", "NumericsError", "build_initial"]
 
 
 class NumericsError(RuntimeError):
@@ -50,9 +54,15 @@ class RunResult:
         return self.summary["pass"]
 
 
-def build_initial_3d(cfg: RunConfig, grid: GridSpec, params: PhysicalParams):
-    u0, B0 = s3.make_initial(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
-                             lo=cfg.band_lo, hi=cfg.band_hi)
+def build_initial(cfg: RunConfig, grid: GridSpec, params: PhysicalParams) -> s3.SimState3D:
+    """The run's initial state; 2.5D data lives on the 2D lattice."""
+    if grid.dim == 3:
+        u0, B0 = s3.make_initial(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
+                                 lo=cfg.band_lo, hi=cfg.band_hi)
+    else:
+        b_amp = cfg.b_amplitude if cfg.b_amplitude > 0 else None
+        u0, B0 = s25.make_initial_25d(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
+                                      b_amplitude=b_amp, lo=cfg.band_lo, hi=cfg.band_hi)
     return s3.make_state(u0, B0, params, extended=(cfg.formulation == "extended"))
 
 
@@ -78,7 +88,6 @@ def _sanitize(obj):
 
 
 def _write_outputs(out_dir: Path, records, summary) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / "timeseries.csv", records)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(_sanitize(summary), fh, indent=2, sort_keys=True, default=_json_default)
@@ -89,68 +98,142 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.dimension == 3.0:
-        return _run_3d(cfg, out)
-    return _run_25d(cfg, out)
-
-
-# 3D ------------------------------------------------------------------------
-
-def _run_3d(cfg: RunConfig, out: Path) -> RunResult:
-    grid = GridSpec.create(3, cfg.n)
+    grid = GridSpec.create(3 if cfg.dimension == 3.0 else 2, cfg.n)
     params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
     control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
-    state0 = build_initial_3d(cfg, grid, params)
-    extended = state0.extended
+    state0 = build_initial(cfg, grid, params)
 
     # the step guards must admit dt at t = 0 (config error otherwise)
-    up = state0.u.to_physical()
-    bp = state0.B.to_physical()
-    bound = required_dt(grid, params, control, float(np.abs(up).max()), float(np.abs(bp).max()))
+    amax = (float(np.abs(f.to_physical()).max()) for f in (state0.u, state0.B))
+    bound = required_dt(grid, params, control, *amax)
     if cfg.dt > bound:
         raise ConfigError(f"dt={cfg.dt:.3e} violates the step guards at t=0 "
                           f"(require dt <= {bound:.3e})")
 
     session = s3.StepSession(state0, params, control)
-    sp = session.sp
+    monitor = (_Monitor3D if grid.dim == 3 else _Monitor25D)(cfg, params, session)
     nsteps = round(cfg.t_end / cfg.dt)
-    fields0 = [f.copy() for f in session.fields]
 
-    hi_mask = None
-    partition_residual = 0.0
-    if cfg.filter_rho > 0:
-        rho_next = grid.next_shell(cfg.filter_rho)
-        hi_mask = sp.k2 > cfg.filter_rho**2 + 1e-9
-        rec = band_filter(state0.u, 0, cfg.filter_rho).c + band_filter(state0.u, rho_next, np.inf).c
-        scale = max(float(np.abs(state0.u.c).max()), 1e-300)
-        partition_residual = float(np.abs(rec - state0.u.c).max()) / scale
-
-    def hi_norm2() -> float:
-        if hi_mask is None:
-            return 0.0
-        tot = 0.0
-        for f in session.fields[:2]:
-            mag2 = (f.real**2 + f.imag**2).sum(axis=0)
-            tot += float(np.sum(sp.w_pair * hi_mask * mag2))
-        return tot
-
-    diss_u = [session.hs2("u", 1.0)]
-    diss_b = [session.hs2("B", 1.0)]
-    diss_v = [session.hs2("v", 1.0) if extended else 0.0]
+    def snapshot(name: str, st: s3.SimState3D) -> None:
+        write_snapshot(out / name, st.t, [st.u, st.B] + ([st.v] if st.extended else []))
 
     samples: list[dict] = []
-    budget_rows: list[dict] = []
-    budget_residuals: list[dict] = []
-    prev_state = None
+    last_good = None  # the state at the latest sample
 
     def sample(istep: int) -> None:
-        nonlocal prev_state
+        nonlocal last_good
         if not session.finite():
-            flush = prev_state if prev_state is not None else state0
-            write_snapshot(out / "snap_last_good.hmhd", flush.t,
-                           [flush.u, flush.B] + ([flush.v] if extended else []))
-            raise NumericsError(f"non-finite state at t={session.t:.6g}; "
-                                f"last good snapshot flushed")
+            raise FloatingPointError("non-finite fields")
+        st = session.state()
+        samples.append(monitor.sample(istep, st, last_good))
+        last_good = st
+
+    integrands = [monitor.dissipation()]
+    snap_times = []
+    next_snap = cfg.snapshot_every if cfg.snapshot_every > 0 else np.inf
+    i = 0
+    try:
+        sample(0)
+        snapshot("snap_initial.hmhd", state0)
+        for i in range(1, nsteps + 1):
+            session.advance()
+            integrands.append(monitor.dissipation())
+            if i % cfg.sample_every == 0 or i == nsteps:
+                sample(i)
+            if session.t >= next_snap - 1e-12:
+                st = session.state()
+                snapshot(f"snap_t{st.t:.6f}.hmhd", st)
+                snap_times.append(st.t)
+                next_snap += cfg.snapshot_every
+    except (CFLError, FloatingPointError) as e:
+        flush = last_good if last_good is not None else state0
+        snapshot("snap_last_good.hmhd", flush)
+        raise NumericsError(f"{e} at step {i} (t={i * cfg.dt:.6g}); last good "
+                            f"snapshot (t={flush.t:.6g}) flushed") from e
+    snapshot("snap_final.hmhd", session.state())
+
+    # cumulative dissipation integrals int_0^t ||grad .||^2, one per column
+    cum = [cumulative_simpson(np.asarray(col), dx=cfg.dt, initial=0.0)
+           for col in zip(*integrands)]
+    idx = np.array([r["istep"] for r in samples])
+    t_arr = np.array([r["t"] for r in samples])
+    l2u2 = np.array([r["l2u2"] for r in samples])
+    l2b2 = np.array([r["l2b2"] for r in samples])
+    drift = energy_drift_series(t_arr, l2u2, l2b2, cum[0][idx], cum[1][idx], cfg.mu, cfg.nu)
+
+    records = []
+    for r in samples:
+        records.append(DiagnosticsRecord(
+            t=r["t"],
+            **{col: float(np.sqrt(r[key])) for col, key in _NORM_COLUMNS},
+            **{col: float(c[r["istep"]]) for col, c in zip(("diss_u", "diss_b", "diss_v"), cum)},
+            **{col: r.get(col, 0.0) for col in _OPTIONAL_COLUMNS},
+        ))
+        records[-1].validate()
+
+    summary: dict = {
+        "dimension": float(cfg.dimension),
+        "formulation": cfg.formulation,
+        "energy_drift_max": float(drift.max()),
+        "energy_drift_series": [float(x) for x in drift],
+        "pass_energy": bool(drift.max() <= cfg.tol_energy_drift),
+        "snapshot_files": ["snap_initial.hmhd", "snap_final.hmhd"],
+        "snapshot_times": snap_times,
+        **monitor.summary(samples, cum, idx),
+    }
+    summary["pass"] = bool(all(v for k, v in summary.items() if k.startswith("pass_")))
+
+    _write_outputs(out, records, summary)
+    return RunResult(cfg, records, summary, out)
+
+
+# record columns: square roots of the sampled squared norms, and the
+# columns a monitor may fill (0.0 where it does not)
+_NORM_COLUMNS = (("l2_u", "l2u2"), ("l2_b", "l2b2"), ("h12_u", "h12u2"), ("h12_b", "h12b2"),
+                 ("h12_v", "h12v2"), ("h32_u", "h32u2"), ("h32_b", "h32b2"), ("h32_v", "h32v2"))
+_OPTIONAL_COLUMNS = tuple(f"a{i}" for i in range(1, 9)) + (
+    "cancellation", "v_drift", "v_weight", "w_weight", "e_residual")
+
+
+# 3D -------------------------------------------------------------------------
+
+class _Monitor3D:
+    """Norms on the session's compact band; the extended formulation adds
+    the v-drift and, with compute_budgets, the critical budget; filter_rho
+    adds the frequency-split monitor."""
+
+    def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
+        self.cfg, self.params, self.session = cfg, params, session
+        self.extended = session.extended
+        self.budget_rows: list[dict] = []
+        self.budget_residuals: list[dict] = []
+        self.hi_mask = None
+        self.partition_residual = 0.0
+        if cfg.filter_rho > 0:
+            u0 = session.state().u
+            rho_next = u0.grid.next_shell(cfg.filter_rho)
+            self.hi_mask = session.sp.k2 > cfg.filter_rho**2 + 1e-9
+            rec = band_filter(u0, 0, cfg.filter_rho).c + band_filter(u0, rho_next, np.inf).c
+            scale = max(float(np.abs(u0.c).max()), 1e-300)
+            self.partition_residual = float(np.abs(rec - u0.c).max()) / scale
+
+    def dissipation(self) -> tuple:
+        s = self.session
+        return s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v", 1.0) if self.extended else 0.0
+
+    def _hi_norm2(self) -> float:
+        if self.hi_mask is None:
+            return 0.0
+        sp = self.session.sp
+        tot = 0.0
+        for f in self.session.fields[:2]:
+            mag2 = (f.real**2 + f.imag**2).sum(axis=0)
+            tot += float(np.sum(sp.w_pair * self.hi_mask * mag2))
+        return tot
+
+    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None) -> dict:
+        session, params, extended = self.session, self.params, self.extended
+        sp = session.sp
         row = {
             "istep": istep,
             "t": session.t,
@@ -160,7 +243,7 @@ def _run_3d(cfg: RunConfig, out: Path) -> RunResult:
             "h12b2": session.hs2("B", 0.5),
             "h32u2": session.hs2("u", 1.5),
             "h32b2": session.hs2("B", 1.5),
-            "hi2": hi_norm2(),
+            "hi2": self._hi_norm2(),
         }
         vkey = "v" if extended else "v_of_uB"
         row["h12v2"] = session.hs2(vkey, 0.5)
@@ -170,298 +253,147 @@ def _run_3d(cfg: RunConfig, out: Path) -> RunResult:
         h1_all = (session.hs2("u", 1.0) + session.hs2("B", 1.0) + session.hs2(vkey, 1.0))
         row["v_weight"] = (2.0 * h1_all) ** 2 + row["h32v2"]
         drift = 0.0
-        cancel = 0.0
         if extended:
             vc_target = session.fields[0] - params.eps * sp._curl(session.fields[1])
             num = sp.sum_hs2(session.fields[2] - vc_target, 0.0)
             den = sp.sum_hs2(session.fields[2], 0.0)
             drift = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
         row["v_drift"] = drift
-        if cfg.compute_budgets and extended:
-            st = session.state()
+        if self.cfg.compute_budgets and extended:
             bt = budget_terms(st, params, 0.5)
-            budget_rows.append(bt)
+            self.budget_rows.append(bt)
             row.update({f"a{i}": bt[f"a{i}"] for i in range(1, 9)})
             row["cancellation"] = cancellation_check(st.v, st.B)
-            if prev_state is not None:
-                budget_residuals.append(
-                    {"t": 0.5 * (prev_state.t + st.t),
-                     "s05": budget_identity_residuals(prev_state, st, params, 0.5),
-                     "ss": budget_identity_residuals(prev_state, st, params, cfg.budget_s)}
+            if prev is not None:
+                self.budget_residuals.append(
+                    {"t": 0.5 * (prev.t + st.t),
+                     "s05": budget_identity_residuals(prev, st, params, 0.5),
+                     "ss": budget_identity_residuals(prev, st, params, self.cfg.budget_s)}
                 )
-            prev_state = st
-        else:
-            prev_state = session.state()
-        samples.append(row)
+        return row
 
-    sample(0)
-    snap_times = []
-    next_snap = cfg.snapshot_every if cfg.snapshot_every > 0 else np.inf
-    st0 = state0
-    write_snapshot(out / "snap_initial.hmhd", st0.t,
-                   [st0.u, st0.B] + ([st0.v] if extended else []))
-    try:
-        for i in range(1, nsteps + 1):
-            session.advance()
-            diss_u.append(session.hs2("u", 1.0))
-            diss_b.append(session.hs2("B", 1.0))
-            diss_v.append(session.hs2("v", 1.0) if extended else 0.0)
-            if i % cfg.sample_every == 0 or i == nsteps:
-                sample(i)
-            if session.t >= next_snap - 1e-12:
-                stn = session.state()
-                write_snapshot(out / f"snap_t{stn.t:.6f}.hmhd", stn.t,
-                               [stn.u, stn.B] + ([stn.v] if extended else []))
-                snap_times.append(stn.t)
-                next_snap += cfg.snapshot_every
-    except CFLError as e:
-        flush = prev_state if prev_state is not None else state0
-        write_snapshot(out / "snap_last_good.hmhd", flush.t,
-                       [flush.u, flush.B] + ([flush.v] if extended else []))
-        raise NumericsError(f"{e}; last good snapshot flushed") from e
-
-    final = session.state()
-    write_snapshot(out / "snap_final.hmhd", final.t,
-                   [final.u, final.B] + ([final.v] if extended else []))
-
-    cum_u = cumulative_simpson(np.asarray(diss_u), dx=cfg.dt, initial=0.0)
-    cum_b = cumulative_simpson(np.asarray(diss_b), dx=cfg.dt, initial=0.0)
-    cum_v = cumulative_simpson(np.asarray(diss_v), dx=cfg.dt, initial=0.0)
-
-    t_arr = np.array([r["t"] for r in samples])
-    idx = np.array([r["istep"] for r in samples])
-    l2u2 = np.array([r["l2u2"] for r in samples])
-    l2b2 = np.array([r["l2b2"] for r in samples])
-    trip12 = np.array([r["h12u2"] + r["h12b2"] + r["h12v_mon2"] for r in samples])
-    trip32 = np.array([r["h32u2"] + r["h32b2"] + r["h32v_mon2"] for r in samples])
-
-    drift = energy_drift_series(t_arr, l2u2, l2b2, cum_u[idx], cum_b[idx], cfg.mu, cfg.nu)
-    mono = monotonicity_monitor(t_arr, trip12, trip32, cfg.mu)
-    decay = decay_monitor(t_arr, trip12)
-
-    records = []
-    for m, r in enumerate(samples):
-        records.append(DiagnosticsRecord(
-            t=r["t"],
-            l2_u=float(np.sqrt(r["l2u2"])), l2_b=float(np.sqrt(r["l2b2"])),
-            h12_u=float(np.sqrt(r["h12u2"])), h12_b=float(np.sqrt(r["h12b2"])),
-            h12_v=float(np.sqrt(r["h12v2"])),
-            h32_u=float(np.sqrt(r["h32u2"])), h32_b=float(np.sqrt(r["h32b2"])),
-            h32_v=float(np.sqrt(r["h32v2"])),
-            diss_u=float(cum_u[r["istep"]]), diss_b=float(cum_b[r["istep"]]),
-            diss_v=float(cum_v[r["istep"]]),
-            **{f"a{i}": r.get(f"a{i}", 0.0) for i in range(1, 9)},
-            cancellation=r.get("cancellation", 0.0),
-            v_drift=r["v_drift"],
-            v_weight=r["v_weight"],
-        ))
-        records[-1].validate()
-
-    summary: dict = {
-        "dimension": 3.0,
-        "formulation": cfg.formulation,
-        "energy_drift_max": float(drift.max()),
-        "energy_drift_series": [float(x) for x in drift],
-        "pass_energy": bool(drift.max() <= cfg.tol_energy_drift),
-        "monotonicity": mono,
-        "pass_monotonicity": bool(mono["nonincreasing"] and mono["ineq_2888_holds"]),
-        "decay": decay,
-        "pass_decay": bool(decay["final_over_initial"] <= cfg.decay_fraction),
-        "snapshot_files": ["snap_initial.hmhd", "snap_final.hmhd"],
-        "snapshot_times": snap_times,
-    }
-    if extended:
-        vmax = max(r["v_drift"] for r in samples)
-        summary["v_drift_max"] = vmax
-        summary["pass_v_drift"] = bool(vmax <= cfg.tol_v_drift)
-    if cfg.filter_rho > 0:
-        hi = np.array([r["hi2"] for r in samples])
-        diffs = np.diff(hi)
-        summary["partition_residual"] = partition_residual
-        summary["highfreq_l2_series"] = [float(np.sqrt(x)) for x in hi]
-        tail = diffs[1:] if diffs.size > 1 else diffs
-        summary["highfreq_monotone_after_first"] = bool(
-            np.all(tail <= 1e-12 * max(hi[0], 1e-300)))
-    if cfg.compute_budgets and extended and budget_residuals:
-        summary["budget_residual_max_s05"] = max(
-            max(b["s05"]["res_u"], b["s05"]["res_b"], b["s05"]["res_v"])
-            for b in budget_residuals)
-        summary["budget_residual_max_ss"] = max(
-            max(b["ss"]["res_u"], b["ss"]["res_b"], b["ss"]["res_v"])
-            for b in budget_residuals)
-        summary["budget_c6100_fit"] = fit_budget_6100(budget_rows)
-        summary["cancellation_max"] = max(r.get("cancellation", 0.0) for r in samples)
-    passes = [v for k, v in summary.items() if k.startswith("pass_")]
-    summary["pass"] = bool(all(passes))
-
-    _write_outputs(out, records, summary)
-    return RunResult(cfg, records, summary, out)
+    def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
+        cfg = self.cfg
+        t_arr = np.array([r["t"] for r in samples])
+        trip12 = np.array([r["h12u2"] + r["h12b2"] + r["h12v_mon2"] for r in samples])
+        trip32 = np.array([r["h32u2"] + r["h32b2"] + r["h32v_mon2"] for r in samples])
+        mono = monotonicity_monitor(t_arr, trip12, trip32, cfg.mu)
+        decay = decay_monitor(t_arr, trip12)
+        out: dict = {
+            "monotonicity": mono,
+            "pass_monotonicity": bool(mono["nonincreasing"] and mono["ineq_2888_holds"]),
+            "decay": decay,
+            "pass_decay": bool(decay["final_over_initial"] <= cfg.decay_fraction),
+        }
+        if self.extended:
+            vmax = max(r["v_drift"] for r in samples)
+            out["v_drift_max"] = vmax
+            out["pass_v_drift"] = bool(vmax <= cfg.tol_v_drift)
+        if cfg.filter_rho > 0:
+            hi = np.array([r["hi2"] for r in samples])
+            diffs = np.diff(hi)
+            out["partition_residual"] = self.partition_residual
+            out["highfreq_l2_series"] = [float(np.sqrt(x)) for x in hi]
+            tail = diffs[1:] if diffs.size > 1 else diffs
+            out["highfreq_monotone_after_first"] = bool(
+                np.all(tail <= 1e-12 * max(hi[0], 1e-300)))
+        if self.budget_residuals:
+            res = self.budget_residuals
+            out["budget_residual_max_s05"] = max(
+                max(b["s05"]["res_u"], b["s05"]["res_b"], b["s05"]["res_v"]) for b in res)
+            out["budget_residual_max_ss"] = max(
+                max(b["ss"]["res_u"], b["ss"]["res_b"], b["ss"]["res_v"]) for b in res)
+            out["budget_c6100_fit"] = fit_budget_6100(self.budget_rows)
+            out["cancellation_max"] = max(r.get("cancellation", 0.0) for r in samples)
+        return out
 
 
 # 2.5D -----------------------------------------------------------------------
 
-def _run_25d(cfg: RunConfig, out: Path) -> RunResult:
-    grid = GridSpec.create(2, cfg.n)
-    params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
-    control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
-    b_amp = cfg.b_amplitude if cfg.b_amplitude > 0 else None
-    u0, B0 = s25.make_initial_25d(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
-                                  b_amplitude=b_amp, lo=cfg.band_lo, hi=cfg.band_hi)
-    state = s25.make_state_25d(u0, B0, params)
+class _Monitor25D:
+    """Full-lattice norms of the sampled state, the combined-field law, the
+    rewritten induction equation, and the fitted constants of the
+    v-inequality, the B-H1 budget and the vorticity bound."""
 
-    up = state.u.to_physical()
-    bp = state.B.to_physical()
-    bound = required_dt(grid, params, control, float(np.abs(up).max()), float(np.abs(bp).max()))
-    if cfg.dt > bound:
-        raise ConfigError(f"dt={cfg.dt:.3e} violates the step guards at t=0 "
-                          f"(require dt <= {bound:.3e})")
+    def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
+        self.cfg, self.params, self.session = cfg, params, session
 
-    nsteps = round(cfg.t_end / cfg.dt)
-    mu_eq_nu = cfg.mu == cfg.nu
+    def dissipation(self) -> tuple:
+        s = self.session
+        return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
+                s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
 
-    def vfield(st):
-        return st.u - params.eps * st.j
-
-    diss_u = [hs_norm(state.u, 1.0) ** 2]
-    diss_b = [hs_norm(state.B, 1.0) ** 2]
-    diss_v = [hs_norm(vfield(state), 1.0) ** 2]
-    diss_om = [hs_norm(state.omega, 1.0) ** 2]
-    diss_j = [hs_norm(state.j, 1.0) ** 2]
-
-    samples: list[dict] = []
-    prev_sample_state = None
-
-    def sample(istep: int, st) -> None:
-        nonlocal prev_sample_state
-        if not np.all(np.isfinite(st.u.c)) or not np.all(np.isfinite(st.B.c)):
-            flush = prev_sample_state if prev_sample_state is not None else state
-            write_snapshot(out / "snap_last_good.hmhd", flush.t, [flush.u, flush.B])
-            raise NumericsError(f"non-finite state at t={st.t:.6g}; "
-                                f"last good snapshot flushed")
-        v = vfield(st)
-        nab_u = hs_norm(st.u, 1.0)
-        nab2_u = hs_norm(st.u, 2.0)
-        l2_u = hs_norm(st.u, 0.0)
+    def sample(self, istep: int, st3: s3.SimState3D, prev3: s3.SimState3D | None) -> dict:
+        params = self.params
+        st = s25.make_state_25d(st3.u, st3.B, params, t=st3.t)
+        u, B = st.u, st.B
+        v = u - params.eps * st.j
+        l2_u, nab_u, nab2_u = (hs_norm(u, s) for s in (0.0, 1.0, 2.0))
+        nab_B, lap_B = hs_norm(B, 1.0), hs_norm(B, 2.0)
         row = {
             "istep": istep, "t": st.t,
-            "l2u2": l2_u**2, "l2b2": hs_norm(st.B, 0.0) ** 2,
-            "h12u2": hs_norm(st.u, 0.5) ** 2, "h12b2": hs_norm(st.B, 0.5) ** 2,
+            "l2u2": l2_u**2, "l2b2": hs_norm(B, 0.0) ** 2,
+            "h12u2": hs_norm(u, 0.5) ** 2, "h12b2": hs_norm(B, 0.5) ** 2,
             "h12v2": hs_norm(v, 0.5) ** 2,
-            "h32u2": hs_norm(st.u, 1.5) ** 2, "h32b2": hs_norm(st.B, 1.5) ** 2,
+            "h32u2": hs_norm(u, 1.5) ** 2, "h32b2": hs_norm(B, 1.5) ** 2,
             "h32v2": hs_norm(v, 1.5) ** 2,
             "l2v2": hs_norm(v, 0.0) ** 2, "h1v2": hs_norm(v, 1.0) ** 2,
-            "h1u2": nab_u**2, "h1b2": hs_norm(st.B, 1.0) ** 2,
-            "bh1_2": inhomogeneous_hs_norm(st.B, 1.0) ** 2,
-            "nabB_h1_2": hs_norm(st.B, 1.0) ** 2 + hs_norm(st.B, 2.0) ** 2,
-            "nabB": hs_norm(st.B, 1.0), "lapB2": hs_norm(st.B, 2.0) ** 2,
+            "h1u2": nab_u**2, "h1b2": nab_B**2,
+            "bh1_2": inhomogeneous_hs_norm(B, 1.0) ** 2,
+            "nabB_h1_2": nab_B**2 + lap_B**2, "nabB": nab_B, "lapB2": lap_B**2,
             "om2": hs_norm(st.omega, 0.0) ** 2,
             "w_weight": l2_u**2 * nab_u**2 + nab_u * nab2_u,
-            "cache_res": st.cache_residual(),
         }
         e_res = 0.0
-        if prev_sample_state is not None and mu_eq_nu:
-            e_res = s25.E_residual(prev_sample_state, st, params, st.t - prev_sample_state.t)
+        if prev3 is not None and params.mu == params.nu:
+            prev = s25.make_state_25d(prev3.u, prev3.B, params, t=prev3.t)
+            e_res = s25.E_residual(prev, st, params, st.t - prev.t)
         row["e_residual"] = e_res
         _, dB = s25.rhs_25d(st, params)
         rw = s25.rewritten_B_rhs(st, params)
         scale = max(float(np.abs(dB.c).max()), 1e-300)
         row["rewritten_res"] = float(np.abs(rw.c - dB.c).max()) / scale
-        prev_sample_state = st
-        samples.append(row)
+        return row
 
-    sample(0, state)
-    write_snapshot(out / "snap_initial.hmhd", state.t, [state.u, state.B])
-    cur = state
-    try:
-        for i in range(1, nsteps + 1):
-            cur = s25.step_25d(cur, params, control)
-            diss_u.append(hs_norm(cur.u, 1.0) ** 2)
-            diss_b.append(hs_norm(cur.B, 1.0) ** 2)
-            diss_v.append(hs_norm(vfield(cur), 1.0) ** 2)
-            diss_om.append(hs_norm(cur.omega, 1.0) ** 2)
-            diss_j.append(hs_norm(cur.j, 1.0) ** 2)
-            if i % cfg.sample_every == 0 or i == nsteps:
-                sample(i, cur)
-    except CFLError as e:
-        flush = prev_sample_state if prev_sample_state is not None else state
-        write_snapshot(out / "snap_last_good.hmhd", flush.t, [flush.u, flush.B])
-        raise NumericsError(f"{e}; last good snapshot flushed") from e
-    write_snapshot(out / "snap_final.hmhd", cur.t, [cur.u, cur.B])
+    def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
+        cfg = self.cfg
+        # fitted constants of the v-inequality and the B-H1 budget
+        c611 = 0.0
+        c615 = 0.0
+        for a, b in zip(samples[:-1], samples[1:]):
+            h = b["t"] - a["t"]
+            dv = (b["l2v2"] - a["l2v2"]) / h + 0.5 * (a["h1v2"] + b["h1v2"])
+            den = 0.5 * ((a["l2u2"] + a["l2b2"] + a["l2v2"]) * (a["h1u2"] + a["h1b2"] + a["h1v2"])
+                         + (b["l2u2"] + b["l2b2"] + b["l2v2"]) * (b["h1u2"] + b["h1b2"] + b["h1v2"]))
+            if dv > 0 and den > 0:
+                c611 = max(c611, dv / den)
+            db = (b["bh1_2"] - a["bh1_2"]) / h + 0.5 * (a["nabB_h1_2"] + b["nabB_h1_2"])
+            denb = 0.5 * ((a["w_weight"] * a["bh1_2"] + a["nabB"] * a["lapB2"])
+                          + (b["w_weight"] * b["bh1_2"] + b["nabB"] * b["lapB2"]))
+            if db > 0 and denb > 0:
+                c615 = max(c615, db / denb)
 
-    cum_u = cumulative_simpson(np.asarray(diss_u), dx=cfg.dt, initial=0.0)
-    cum_b = cumulative_simpson(np.asarray(diss_b), dx=cfg.dt, initial=0.0)
-    cum_v = cumulative_simpson(np.asarray(diss_v), dx=cfg.dt, initial=0.0)
-    cum_om = cumulative_simpson(np.asarray(diss_om), dx=cfg.dt, initial=0.0)
-    cum_j = cumulative_simpson(np.asarray(diss_j), dx=cfg.dt, initial=0.0)
+        # a-priori vorticity bound with a fitted constant
+        l2b2_0 = samples[0]["l2b2"]
+        om0_b0 = samples[0]["om2"] + l2b2_0
+        lhs_om = np.array([r["om2"] for r in samples]) + cum[3][idx]
+        e0_4 = (samples[0]["l2u2"] + l2b2_0) ** 2
+        q = float(lhs_om.max()) / (2.0 * om0_b0) - 1.0 if om0_b0 > 0 else 0.0
+        c_omega = float(np.log(q) / e0_4) if (q > 1.0 and e0_4 > 0) else 0.0
 
-    t_arr = np.array([r["t"] for r in samples])
-    idx = np.array([r["istep"] for r in samples])
-    l2u2 = np.array([r["l2u2"] for r in samples])
-    l2b2 = np.array([r["l2b2"] for r in samples])
-    drift = energy_drift_series(t_arr, l2u2, l2b2, cum_u[idx], cum_b[idx], cfg.mu, cfg.nu)
-
-    # fitted constants of the v-inequality and the B-H1 budget
-    c611 = 0.0
-    c615 = 0.0
-    for a, b in zip(samples[:-1], samples[1:]):
-        h = b["t"] - a["t"]
-        dv = (b["l2v2"] - a["l2v2"]) / h + 0.5 * (a["h1v2"] + b["h1v2"])
-        den = 0.5 * ((a["l2u2"] + a["l2b2"] + a["l2v2"]) * (a["h1u2"] + a["h1b2"] + a["h1v2"])
-                     + (b["l2u2"] + b["l2b2"] + b["l2v2"]) * (b["h1u2"] + b["h1b2"] + b["h1v2"]))
-        if dv > 0 and den > 0:
-            c611 = max(c611, dv / den)
-        db = (b["bh1_2"] - a["bh1_2"]) / h + 0.5 * (a["nabB_h1_2"] + b["nabB_h1_2"])
-        denb = 0.5 * ((a["w_weight"] * a["bh1_2"] + a["nabB"] * a["lapB2"])
-                      + (b["w_weight"] * b["bh1_2"] + b["nabB"] * b["lapB2"]))
-        if db > 0 and denb > 0:
-            c615 = max(c615, db / denb)
-
-    # a-priori vorticity bound with a fitted constant
-    om0_b0 = samples[0]["om2"] + l2b2[0]
-    lhs_om = np.array([r["om2"] for r in samples]) + cum_om[idx]
-    e0_4 = (l2u2[0] + l2b2[0]) ** 2
-    q = float(lhs_om.max()) / (2.0 * om0_b0) - 1.0 if om0_b0 > 0 else 0.0
-    c_omega = float(np.log(q) / e0_4) if (q > 1.0 and e0_4 > 0) else 0.0
-
-    records = []
-    for r in samples:
-        records.append(DiagnosticsRecord(
-            t=r["t"],
-            l2_u=float(np.sqrt(r["l2u2"])), l2_b=float(np.sqrt(r["l2b2"])),
-            h12_u=float(np.sqrt(r["h12u2"])), h12_b=float(np.sqrt(r["h12b2"])),
-            h12_v=float(np.sqrt(r["h12v2"])),
-            h32_u=float(np.sqrt(r["h32u2"])), h32_b=float(np.sqrt(r["h32b2"])),
-            h32_v=float(np.sqrt(r["h32v2"])),
-            diss_u=float(cum_u[r["istep"]]), diss_b=float(cum_b[r["istep"]]),
-            diss_v=float(cum_v[r["istep"]]),
-            v_drift=0.0,
-            v_weight=0.0,
-            w_weight=r["w_weight"],
-            e_residual=r["e_residual"],
-        ))
-        records[-1].validate()
-
-    e_res_max = max((r["e_residual"] for r in samples[1:]), default=0.0)
-    summary = {
-        "dimension": 2.5,
-        "formulation": "physical",
-        "energy_drift_max": float(drift.max()),
-        "energy_drift_series": [float(x) for x in drift],
-        "pass_energy": bool(drift.max() <= cfg.tol_energy_drift),
-        "e_residual_max": e_res_max,
-        "rewritten_res_max": max(r["rewritten_res"] for r in samples),
-        "cache_residual_max": max(r["cache_res"] for r in samples),
-        "c611_fit": c611,
-        "c615_fit": c615,
-        "c_omega_fit": c_omega,
-        "omega_bound_lhs_max": float(lhs_om.max()),
-        "omega_bound_rhs": float(2.0 * om0_b0 * (1.0 + np.exp(c_omega * e0_4))),
-        "j_l2h1_integral": float(cum_j[-1]),
-        "pass_rewritten": bool(max(r["rewritten_res"] for r in samples) <= 1e-11),
-    }
-    if mu_eq_nu:
-        summary["pass_e_residual"] = bool(e_res_max <= cfg.tol_e_residual)
-    summary["pass"] = bool(all(v for k, v in summary.items() if k.startswith("pass_")))
-
-    _write_outputs(out, records, summary)
-    return RunResult(cfg, records, summary, out)
+        e_res_max = max((r["e_residual"] for r in samples[1:]), default=0.0)
+        rw_max = max(r["rewritten_res"] for r in samples)
+        out = {
+            "e_residual_max": e_res_max,
+            "rewritten_res_max": rw_max,
+            "c611_fit": c611,
+            "c615_fit": c615,
+            "c_omega_fit": c_omega,
+            "omega_bound_lhs_max": float(lhs_om.max()),
+            "omega_bound_rhs": float(2.0 * om0_b0 * (1.0 + np.exp(c_omega * e0_4))),
+            "j_l2h1_integral": float(cum[4][-1]),
+            "pass_rewritten": bool(rw_max <= 1e-11),
+        }
+        if cfg.mu == cfg.nu:
+            out["pass_e_residual"] = bool(e_res_max <= cfg.tol_e_residual)
+        return out

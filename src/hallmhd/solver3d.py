@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .fields import SpectralField
 from .grid import GridSpec
@@ -32,6 +31,7 @@ from .operators import (
     band_filter,
     curl3,
     dilate,
+    k2_power,
     leray_project,
     to_physical,
     to_spectral,
@@ -49,7 +49,6 @@ __all__ = [
     "make_state",
     "scaling_covariance_check",
     "pressure_field",
-    "redundancy_drift",
 ]
 
 _SYM = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -197,16 +196,6 @@ def rhs_extended(state: SimState3D, params: PhysicalParams):
     )
 
 
-def redundancy_drift(state: SimState3D, params: PhysicalParams) -> float:
-    """||v - (u - eps curl B)||_L2 / ||v||_L2 in extended mode."""
-    if state.v is None:
-        return 0.0
-    target = state.u - params.eps * curl3(state.B)
-    num = hs_norm(state.v - target, 0.0)
-    den = hs_norm(state.v, 0.0)
-    return num / den if den > 0 else num
-
-
 # time stepping ---------------------------------------------------------
 #
 # The stepper works on the compacted dealias band: evolved states carry
@@ -215,13 +204,17 @@ def redundancy_drift(state: SimState3D, params: PhysicalParams) -> float:
 # memory-bandwidth bound).  Scatter/gather at the FFT boundary doubles as
 # the dealiasing step.  The public rhs_* functions above stay the readable
 # reference; step() is tested to reproduce them.
-
+#
+# On a 2D grid the same stepper advances the 2.5D system: the 2.5D flow is
+# the 3D physical formulation restricted to x3-independent fields, i.e.
+# with a zero third wavevector.  Under the two-thirds rule this is exact
+# on the retained band.
 
 
 class _Stepper3D:
-    """Compact-band workspace for one (grid, params, dt, formulation).
-    Owns scratch buffers: not shareable across threads; one advancing
-    agent per evolved state."""
+    """Compact-band workspace for one (grid, params, dt, formulation);
+    the grid is 3D, or 2D with k3 = 0.  Owns scratch buffers: not
+    shareable across threads; one advancing agent per evolved state."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, extended: bool):
         self.grid = grid
@@ -237,6 +230,7 @@ class _Stepper3D:
         spec = grid.spectral_shape
         self.k = [
             np.broadcast_to(grid.kvec[i], spec).reshape(-1)[self.idx].copy()
+            if i < grid.dim else np.zeros(m)
             for i in range(3)
         ]
         self.ik = [1j * k for k in self.k]
@@ -255,6 +249,7 @@ class _Stepper3D:
         self.full1_flat = self.full1.reshape(-1)
         self.m = m
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
+        self._hs_weights: dict[float, np.ndarray] = {}
 
     # compact <-> full layout
     def gather(self, c: np.ndarray) -> np.ndarray:
@@ -270,14 +265,12 @@ class _Stepper3D:
         out = []
         for i in range(3):
             self.full1_flat[self.idx] = comp[i]
-            out.append(_sfft.irfftn(self.full1, s=self.grid.physical_shape,
-                                    axes=(-3, -2, -1), norm="forward"))
+            out.append(to_physical(self.grid, self.full1))
         return out
 
     def _fwd(self, row: int) -> None:
         """Transform self.buf (cache-hot product) into compact row of F."""
-        self.F[row] = _sfft.rfftn(self.buf, axes=(-3, -2, -1),
-                                  norm="forward").reshape(-1)[self.idx]
+        self.F[row] = to_spectral(self.grid, self.buf).reshape(-1)[self.idx]
 
     def _fwd_product(self, row: int, a: np.ndarray, b: np.ndarray) -> None:
         np.multiply(a, b, out=self.buf)
@@ -310,28 +303,25 @@ class _Stepper3D:
             c[:, 0] = 0.0
 
     def sum_hs2(self, comp: np.ndarray, s: float) -> float:
-        """Squared homogeneous H^s mode sum over compact components."""
-        if s == 0:
-            w = self.w_pair
-        else:
-            with np.errstate(divide="ignore"):
-                w = self.w_pair * np.where(self.k2 > 0, self.k2, 1.0) ** s
+        """Squared homogeneous H^s mode sum over compact components (the
+        weight vanishes at k = 0, so the mean mode never counts)."""
+        w = self._hs_weights.get(s)
+        if w is None:
+            w = self._hs_weights[s] = self.w_pair * k2_power(self.k2, s)
         mag2 = (comp.real**2 + comp.imag**2).sum(axis=0)
-        if self.idx[0] == 0:
-            mag2 = mag2.copy()
-            mag2[0] = 0.0
         return float(np.sum(w * mag2))
 
     def nonlinear(self, uc, Bc, vc=None, with_maxes: bool = True):
-        """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax)."""
+        """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
+        maxima propagate NaN (np.max, unlike Python max over components)."""
         ik = self.ik
         F = self.F
         up = self.to_phys(uc)
         Bp = self.to_phys(Bc)
         umax = bmax = 0.0
         if with_maxes:
-            umax = max(float(np.abs(p).max()) for p in up)
-            bmax = max(float(np.abs(p).max()) for p in Bp)
+            umax = float(np.max([np.abs(p).max() for p in up]))
+            bmax = float(np.max([np.abs(p).max() for p in Bp]))
 
         if not self.extended:
             Jp = self.to_phys(self._curl(Bc))
@@ -382,11 +372,15 @@ class _Stepper3D:
         return force, NB, Nv, umax, bmax
 
     def advance(self, fields: list[np.ndarray], control: StepControl):
-        """One Heun step on compact coefficient arrays (in order u, B[, v])."""
+        """One Heun step on compact coefficient arrays (in order u, B[, v]).
+        Raises FloatingPointError on non-finite input fields and CFLError
+        when the stage-1 amplitudes violate the step guards."""
         dt = self.dt
         out = self.nonlinear(*fields)
         umax, bmax = out[-2], out[-1]
         n1 = out[:-2]
+        if not (np.isfinite(umax) and np.isfinite(bmax)):
+            raise FloatingPointError(f"non-finite fields (max|u| = {umax}, max|B| = {bmax})")
         bound = required_dt(self.grid, self.params, control, umax, bmax)
         if dt > bound:
             raise CFLError(dt, bound)
@@ -404,9 +398,6 @@ class _Stepper3D:
             self._project(y)
             self._zero_mean(y)
         return new
-
-    def check_finite(self, fields: list[np.ndarray]) -> bool:
-        return all(np.all(np.isfinite(f)) for f in fields)
 
 
 _STEPPER_CACHE: dict[tuple, _Stepper3D] = {}
@@ -427,16 +418,11 @@ def step(state: SimState3D, params: PhysicalParams, control: StepControl) -> Sim
     """One integrating-factor Heun step: the Laplacian is integrated
     exactly per mode, everything else explicitly in two stages; evolved
     fields are re-projected and stay mean-free.  Raises CFLError (with the
-    admissible dt) when the explicit stability guards reject the step."""
-    sp = get_stepper(state.grid, params, control.dt, state.extended)
-    fields = [sp.gather(state.u.c), sp.gather(state.B.c)]
-    if state.extended:
-        fields.append(sp.gather(state.v.c))
-    new = sp.advance(fields, control)
-    u = sp.scatter_field(new[0])
-    B = sp.scatter_field(new[1])
-    v = sp.scatter_field(new[2]) if state.extended else None
-    return SimState3D(state.t + control.dt, u, B, v)
+    admissible dt) when the explicit stability guards reject the step, and
+    FloatingPointError on non-finite fields."""
+    session = StepSession(state, params, control)
+    session.advance()
+    return session.state()
 
 
 class StepSession:
@@ -464,19 +450,18 @@ class StepSession:
         return SimState3D(self.t, u, B, v)
 
     def hs2(self, which: str, s: float) -> float:
-        """Squared H^s norm of one evolved field ('u', 'B', 'v', or the
-        recomputed electron velocity 'v_of_uB')."""
-        sp = self.sp
-        if which == "u":
-            return sp.sum_hs2(self.fields[0], s)
-        if which == "B":
-            return sp.sum_hs2(self.fields[1], s)
-        if which == "v":
-            return sp.sum_hs2(self.fields[2], s)
-        if which == "v_of_uB":
-            vc = self.fields[0] - self.params.eps * sp._curl(self.fields[1])
-            return sp.sum_hs2(vc, s)
-        raise ValueError(f"unknown field {which!r}")
+        """Squared H^s norm of one evolved field ('u', 'B', 'v'), of the
+        recomputed electron velocity 'v_of_uB', or of the vorticity
+        'curl_u' or the current 'curl_B'."""
+        sp, (u, B, *v) = self.sp, self.fields
+        comp = {
+            "u": lambda: u, "B": lambda: B, "v": lambda: v[0],
+            "v_of_uB": lambda: u - self.params.eps * sp._curl(B),
+            "curl_u": lambda: sp._curl(u), "curl_B": lambda: sp._curl(B),
+        }.get(which)
+        if comp is None:
+            raise ValueError(f"unknown field {which!r}")
+        return sp.sum_hs2(comp(), s)
 
     def finite(self) -> bool:
         return all(np.all(np.isfinite(f)) for f in self.fields)

@@ -176,6 +176,16 @@ class TestWeakStrong:
         _, summ = weakstrong_monitor(u0, B0, u0 + pert, B0, params, ctrl, sample_every=10)
         assert np.isfinite(summ["c_fit"])
 
+    def test_nan_pair_does_not_pass(self, g3):
+        """One NaN coefficient in the second run must stop the comparison;
+        Python max would otherwise report sup_delta = c_fit = 0."""
+        u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=27)
+        c = u0.c.copy()
+        c[0, 1, 1, 1] = np.nan
+        with pytest.raises(FloatingPointError):
+            weakstrong_monitor(u0, B0, u0.with_coeffs(c), B0, P1,
+                               StepControl(dt=1e-3, t_end=0.02), sample_every=5)
+
     def test_grid_mismatch_rejected(self, g3, g3_32):
         uA, BA = s3.make_initial(g3, "random_band", 0.05, seed=26)
         uB, BB_ = s3.make_initial(g3_32, "random_band", 0.05, seed=26)

@@ -120,7 +120,6 @@ class TestRunner:
         s = res.summary
         assert s["e_residual_max"] <= cfg.tol_e_residual
         assert s["rewritten_res_max"] <= 1e-11
-        assert s["cache_residual_max"] <= 1e-13
         assert np.isfinite(s["c611_fit"]) and np.isfinite(s["c615_fit"])
 
     def test_freq_split_monitoring(self, tmp_path):
@@ -224,6 +223,48 @@ class TestCli:
             f"sample_every = 5\nout_dir = {out}\n")
         assert cli.main(["run", "--config", str(cfgfile)]) == 3
         assert (out / "snap_last_good.hmhd").exists()
+
+    @pytest.mark.parametrize("dimension", ["3", "2.5"])
+    def test_nan_mid_run_fails_at_its_step(self, tmp_path, monkeypatch, capsys, dimension):
+        """A NaN that enters the fields at step 3 of a sample_every = 10
+        run stops the run at step 3, not at the next sample: exit 3, the
+        error names t = 0.003, and the last good snapshot is readable."""
+        from hallmhd import solver3d as s3
+
+        advance = s3._Stepper3D.advance
+        calls = []
+
+        def poisoned(self, fields, control):
+            calls.append(None)
+            if len(calls) == 3:
+                fields[0][1, 1] = np.nan
+            return advance(self, fields, control)
+
+        monkeypatch.setattr(s3._Stepper3D, "advance", poisoned)
+        out = tmp_path / "nan"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"dimension = {dimension}\nn = 16\ndt = 1e-3\nt_end = 0.02\n"
+                           f"sample_every = 10\namplitude = 0.05\nseed = 2\nout_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 3
+        assert "at step 3 (t=0.003)" in capsys.readouterr().err
+        t, fields = read_snapshot(out / "snap_last_good.hmhd")
+        assert t <= 0.003
+        assert all(np.all(np.isfinite(f.c)) for f in fields)
+
+    def test_library_value_error_exit_2(self, tmp_path, capsys):
+        # a 2.5D-only initial-data kind in a 3D run is rejected by the solver
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("dimension = 3\nn = 16\ninit_kind = single_mode_b3\n"
+                           f"out_dir = {tmp_path}/v\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
+        assert "single_mode_b3" in capsys.readouterr().err
+
+    def test_removed_uptick_tolerance_key_exit_2(self, tmp_path):
+        # the monotonicity monitor pins its uptick tolerance; the key is gone
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("dimension = 3\nn = 16\ntol_monotonicity_uptick = 1e-8\n"
+                           f"out_dir = {tmp_path}/k\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
 
     def test_monitor_failure_exit_1(self, tmp_path):
         # an un-meetable drift tolerance turns a clean run into a failure

@@ -1,13 +1,16 @@
-"""2.5D solver: advective structure, cached fields, the combined-field
-law, the rewritten induction equation, and the identity suite."""
+"""2.5D solver: advective structure, derived fields, the combined-field
+law, the rewritten induction equation, the identity suite, and the 3D
+oracle (2.5D is 3D with d3 = 0)."""
 
 import numpy as np
 import pytest
 
 from hallmhd.fields import SpectralField
+from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd import solver25d as s25
+from hallmhd import solver3d as s3
 from hallmhd.sampling import random_field, random_scalar
 
 from conftest import rel_err
@@ -64,20 +67,51 @@ class TestRewrittenB:
 
 
 class TestState:
-    def test_cache_coherence(self, g2):
-        st = random_state(g2, seed=9)
-        assert st.cache_residual() < 1e-13
-
-    def test_cache_residual_detects_stale(self, g2):
-        st = random_state(g2, seed=10)
-        from dataclasses import replace
-        stale = replace(st, j=st.j * 2.0)
-        assert stale.cache_residual() > 0.1
-
     def test_divergence_invariant(self, g2):
         st = random_state(g2, seed=11)
         assert st.u.divergence_residual() < 1e-12
         assert st.B.divergence_residual() < 1e-12
+
+
+class TestLiftTo3D:
+    """Oracle: the 2.5D system is the 3D physical system on fields that do
+    not depend on x3.  Lift 2.5D data to x3-independent 3D fields at N = 16
+    and compare every x3 slice of the 3D result with the 2.5D one."""
+
+    G2 = GridSpec.create(2, 16)
+    G3 = GridSpec.create(3, 16)
+    PARAMS = (PhysicalParams(1.0, 1.0, 1.0), PhysicalParams(0.7, 0.3, 2.0))
+
+    def lift(self, f):
+        vals = f.to_physical()
+        return SpectralField.from_physical(
+            self.G3, np.repeat(vals[..., None], self.G3.n, axis=-1), is_divfree=True)
+
+    @staticmethod
+    def slice_err(f3, f2):
+        p3, p2 = f3.to_physical(), f2.to_physical()
+        return max(rel_err(p3[..., i], p2) for i in range(p3.shape[-1]))
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_rhs_matches_3d_reference(self, params):
+        u0, B0 = s25.make_initial_25d(self.G2, "random_band", 0.3, seed=51)
+        du2, dB2 = s25.rhs_25d(s25.make_state_25d(u0, B0, params), params)
+        du3, dB3 = s3.rhs_physical(s3.SimState3D(0.0, self.lift(u0), self.lift(B0)), params)
+        assert self.slice_err(du3, du2) < 1e-13
+        assert self.slice_err(dB3, dB2) < 1e-13
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_steps_match_3d_steps(self, params):
+        u0, B0 = s25.make_initial_25d(self.G2, "random_band", 0.3, seed=52)
+        ctrl = StepControl(dt=1e-3, t_end=1.0)
+        st2 = s25.make_state_25d(u0, B0, params)
+        st3 = s3.make_state(self.lift(u0), self.lift(B0), params)
+        for _ in range(5):
+            st2 = s25.step_25d(st2, params, ctrl)
+            st3 = s3.step(st3, params, ctrl)
+        assert st2.t == st3.t
+        assert self.slice_err(st3.u, st2.u) < 1e-13
+        assert self.slice_err(st3.B, st2.B) < 1e-13
 
 
 class TestStepAndEResidual:
