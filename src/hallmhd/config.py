@@ -63,12 +63,23 @@ class RunConfig:
             raise ConfigError("eps must be nonnegative")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if not 0 < self.hall_cfl <= 1:
             raise ConfigError("hall_cfl must be in (0, 1]")
         if self.amplitude <= 0 and self.init_kind != "zero":
             raise ConfigError("amplitude must be positive")
+        if self.band_lo > self.band_hi:
+            raise ConfigError(f"band_lo={self.band_lo} exceeds band_hi={self.band_hi}")
+        if self.filter_rho < 0:
+            raise ConfigError("filter_rho must be nonnegative")
+        if self.budget_s <= 0:
+            raise ConfigError("budget_s must be positive")
+        for f in dataclass_fields(self):
+            if f.name.startswith("tol_") and getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be nonnegative")
         return self
 
 

@@ -322,11 +322,12 @@ class TwinRunDelta:
 
 
 def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
-                       uB: SpectralField, BB_: SpectralField,
+                       twins: list[tuple[SpectralField, SpectralField]],
                        params: PhysicalParams, control: StepControl,
-                       sample_every: int = 10) -> tuple[list[TwinRunDelta], dict]:
-    """Advance two physical-formulation runs in lockstep and certify the
-    difference estimate
+                       sample_every: int = 10) -> list[tuple[list[TwinRunDelta], dict]]:
+    """Advance a reference physical-formulation run from (uA, BA) and one
+    twin run per (uB, BB) in `twins` in lockstep, and certify for each
+    twin the difference estimate
 
         ||(du,dB)(t)||^2 + mu int ||grad du||^2 + nu int ||grad dB||^2
           <= C (1 + eps^4) / min(mu,nu)^3 * int ||(du,dB)||^2 ||(u,B,J)||^4
@@ -334,49 +335,63 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
     with C fitted as the smallest constant making it hold at all samples.
     (1 + eps^4) is the actual sum of the five Young-split prefactors, so
     the eps = 0 limit stays meaningful.
+
+    The reference is stepped once per step and each twin after it, all on
+    the shared stepper workspace.  A twin with the reference's data is
+    still its own session, so a zero difference certifies that no state
+    leaks between sessions.  Returns one (deltas, summary) per twin, in
+    order.
     """
-    if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
-        raise ValueError("twin runs must share the grid")
-    sA = StepSession(make_state(uA, BA, params), params, control)
-    sB = StepSession(make_state(uB, BB_, params), params, control)
-    sp = sA.sp
+    if not twins:
+        raise ValueError("weak-strong comparison needs at least one twin run")
+    for uB, _ in twins:
+        if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
+            raise ValueError("twin runs must share the grid")
+    ref = StepSession(make_state(uA, BA, params), params, control)
+    sessions = [StepSession(make_state(uB, BB_, params), params, control) for uB, BB_ in twins]
+    sp = ref.sp
     nsteps = round(control.t_end / control.dt)
+    dt = control.dt
 
     def weight_now() -> float:
-        h1 = sA.hs2("u", 1.0) + sA.hs2("B", 1.0) + sA.hs2("curl_B", 1.0)
+        h1 = ref.hs2("u", 1.0) + ref.hs2("B", 1.0) + ref.hs2("curl_B", 1.0)
         return h1 ** 2
 
-    def snap():
-        du_ = sA.fields[0] - sB.fields[0]
-        dB_ = sA.fields[1] - sB.fields[1]
+    def diff2(twin: StepSession) -> tuple:
+        """Squared L2 norms of du, dB, dv and squared H1 norms of du, dB."""
+        du_ = ref.fields[0] - twin.fields[0]
+        dB_ = ref.fields[1] - twin.fields[1]
         dv_ = du_ - params.eps * sp._curl(dB_)
-        return sp.sum_hs2(du_, 0.0), sp.sum_hs2(dB_, 0.0), sp.sum_hs2(dv_, 0.0)
+        return (sp.sum_hs2(du_, 0.0), sp.sum_hs2(dB_, 0.0), sp.sum_hs2(dv_, 0.0),
+                sp.sum_hs2(du_, 1.0), sp.sum_hs2(dB_, 1.0))
 
-    grad_du = grad_dB = gron = 0.0
-    out: list[TwinRunDelta] = []
-
-    du2, dB2, dv2 = snap()
     w = weight_now()
-    out.append(TwinRunDelta(sA.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2), 0.0, 0.0, w, 0.0))
-    prev = (du2, dB2, w, sp.sum_hs2(sA.fields[0] - sB.fields[0], 1.0),
-            sp.sum_hs2(sA.fields[1] - sB.fields[1], 1.0))
-    dt = control.dt
+    prev = [diff2(twin) for twin in sessions]
+    outs = [[TwinRunDelta(ref.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2), 0.0, 0.0, w, 0.0)]
+            for du2, dB2, dv2, _, _ in prev]
+    # per twin: int ||grad du||^2, int ||grad dB||^2, the Gronwall integral
+    ints = [[0.0, 0.0, 0.0] for _ in twins]
     for i in range(1, nsteps + 1):
-        sA.advance()
-        sB.advance()
-        du2, dB2, dv2 = snap()
-        w = weight_now()
-        gdu2 = sp.sum_hs2(sA.fields[0] - sB.fields[0], 1.0)
-        gdB2 = sp.sum_hs2(sA.fields[1] - sB.fields[1], 1.0)
-        p_du2, p_dB2, p_w, p_gdu2, p_gdB2 = prev
-        grad_du += 0.5 * dt * (p_gdu2 + gdu2)
-        grad_dB += 0.5 * dt * (p_gdB2 + gdB2)
-        gron += 0.5 * dt * ((p_du2 + p_dB2) * p_w + (du2 + dB2) * w)
-        prev = (du2, dB2, w, gdu2, gdB2)
-        if i % sample_every == 0 or i == nsteps:
-            out.append(TwinRunDelta(sA.t, float(np.sqrt(du2)), float(np.sqrt(dB2)),
-                                    float(np.sqrt(dv2)), grad_du, grad_dB, w, gron))
+        ref.advance()
+        for twin in sessions:
+            twin.advance()
+        p_w, w = w, weight_now()
+        sampled = i % sample_every == 0 or i == nsteps
+        for k, twin in enumerate(sessions):
+            du2, dB2, dv2, gdu2, gdB2 = cur = diff2(twin)
+            p_du2, p_dB2, _, p_gdu2, p_gdB2 = prev[k]
+            acc = ints[k]
+            acc[0] += 0.5 * dt * (p_gdu2 + gdu2)
+            acc[1] += 0.5 * dt * (p_gdB2 + gdB2)
+            acc[2] += 0.5 * dt * ((p_du2 + p_dB2) * p_w + (du2 + dB2) * w)
+            prev[k] = cur
+            if sampled:
+                outs[k].append(TwinRunDelta(ref.t, float(np.sqrt(du2)), float(np.sqrt(dB2)),
+                                            float(np.sqrt(dv2)), acc[0], acc[1], w, acc[2]))
+    return [(out, _twin_summary(out, params)) for out in outs]
 
+
+def _twin_summary(out: list[TwinRunDelta], params: PhysicalParams) -> dict:
     pref = (1.0 + params.eps**4) / min(params.mu, params.nu) ** 3
     c_fit = 0.0
     sup_delta = 0.0
@@ -385,11 +400,10 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
         sup_delta = max(sup_delta, np.sqrt(r.du**2 + r.dB**2))
         if r.gronwall_int > 0:
             c_fit = max(c_fit, lhs / (pref * r.gronwall_int))
-    summary = {
+    return {
         "c_fit": c_fit,
         "sup_delta": sup_delta,
         "max_final_delta": np.sqrt(out[-1].du**2 + out[-1].dB**2),
         "identical": sup_delta == 0.0,
         "prefactor": pref,
     }
-    return out, summary

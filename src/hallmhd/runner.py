@@ -120,12 +120,12 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     samples: list[dict] = []
     last_good = None  # the state at the latest sample
 
-    def sample(istep: int) -> None:
+    def sample(istep: int, before: tuple | None = None) -> None:
         nonlocal last_good
         if not session.finite():
             raise FloatingPointError("non-finite fields")
         st = session.state()
-        samples.append(monitor.sample(istep, st, last_good))
+        samples.append(monitor.sample(istep, st, last_good, before))
         last_good = st
 
     integrands = [monitor.dissipation()]
@@ -136,10 +136,13 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         sample(0)
         snapshot("snap_initial.hmhd", state0)
         for i in range(1, nsteps + 1):
+            sampled = i % cfg.sample_every == 0 or i == nsteps
+            # advance() builds new arrays; keep the old ones only on request
+            before = (session.t, session.fields) if sampled and monitor.step_before else None
             session.advance()
             integrands.append(monitor.dissipation())
-            if i % cfg.sample_every == 0 or i == nsteps:
-                sample(i)
+            if sampled:
+                sample(i, before)
             if session.t >= next_snap - 1e-12:
                 st = session.state()
                 snapshot(f"snap_t{st.t:.6f}.hmhd", st)
@@ -202,6 +205,8 @@ class _Monitor3D:
     the v-drift and, with compute_budgets, the critical budget; filter_rho
     adds the frequency-split monitor."""
 
+    step_before = False
+
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
         self.extended = session.extended
@@ -231,7 +236,8 @@ class _Monitor3D:
             tot += float(np.sum(sp.w_pair * self.hi_mask * mag2))
         return tot
 
-    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None) -> dict:
+    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
+               before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
         sp = session.sp
         row = {
@@ -317,13 +323,20 @@ class _Monitor25D:
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
+        # the combined-field law is checked across the step before each
+        # sample; at sample_every = 1 that step starts at the previous sample
+        self.step_before = cfg.sample_every > 1 and params.mu == params.nu
 
     def dissipation(self) -> tuple:
         s = self.session
         return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
                 s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
 
-    def sample(self, istep: int, st3: s3.SimState3D, prev3: s3.SimState3D | None) -> dict:
+    def sample(self, istep: int, st3: s3.SimState3D, prev3: s3.SimState3D | None,
+               before: tuple | None) -> dict:
+        """`prev3` is the state at the previous sample, `before` the
+        (t, compact fields) pair one step before this sample, when
+        step_before asks for it."""
         params = self.params
         st = s25.make_state_25d(st3.u, st3.B, params, t=st3.t)
         u, B = st.u, st.B
@@ -346,6 +359,10 @@ class _Monitor25D:
         }
         e_res = 0.0
         if prev3 is not None and params.mu == params.nu:
+            if before is not None:
+                t0, (uc, Bc) = before
+                sp = self.session.sp
+                prev3 = s3.SimState3D(t0, sp.scatter_field(uc), sp.scatter_field(Bc))
             prev = s25.make_state_25d(prev3.u, prev3.B, params, t=prev3.t)
             e_res = s25.E_residual(prev, st, params, st.t - prev.t)
         row["e_residual"] = e_res

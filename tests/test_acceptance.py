@@ -198,14 +198,14 @@ def test_criterion_08_weak_strong():
     u0, B0 = s3.make_initial(g32, "random_band", 0.05, seed=23)
     pert32 = leray_project(single_mode_field(g32, (1, 1, 0), np.array([1e-6, -1e-6, 0.0])))
 
-    _, ident = weakstrong_monitor(u0, B0, u0, B0, params, ctrl, sample_every=20)
-    _, s32 = weakstrong_monitor(u0, B0, u0 + pert32, B0, params, ctrl, sample_every=20)
+    (_, ident), (_, s32) = weakstrong_monitor(
+        u0, B0, [(u0, B0), (u0 + pert32, B0)], params, ctrl, sample_every=20)
 
     # the same physical data on the finer lattice
     u64 = SpectralField(g64, spectral_pad(g32, u0.c, g64), is_divfree=True)
     B64 = SpectralField(g64, spectral_pad(g32, B0.c, g64), is_divfree=True)
     p64 = SpectralField(g64, spectral_pad(g32, pert32.c, g64), is_divfree=True)
-    _, s64 = weakstrong_monitor(u64, B64, u64 + p64, B64, params, ctrl, sample_every=20)
+    [(_, s64)] = weakstrong_monitor(u64, B64, [(u64 + p64, B64)], params, ctrl, sample_every=20)
 
     stability = max(s32["c_fit"], s64["c_fit"]) / min(s32["c_fit"], s64["c_fit"])
     ok = (ident["sup_delta"] <= 1e-13

@@ -150,7 +150,7 @@ class TestWeakStrong:
     def test_identical_runs_zero_delta(self, g3):
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=23)
         ctrl = StepControl(dt=1e-3, t_end=0.02)
-        deltas, summ = weakstrong_monitor(u0, B0, u0, B0, P1, ctrl, sample_every=5)
+        [(deltas, summ)] = weakstrong_monitor(u0, B0, [(u0, B0)], P1, ctrl, sample_every=5)
         assert summ["identical"]
         assert summ["sup_delta"] <= 1e-13
         assert all(d.du == 0.0 and d.dB == 0.0 for d in deltas)
@@ -159,7 +159,8 @@ class TestWeakStrong:
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=24)
         pert = leray_project(single_mode_field(g3, (1, 1, 0), np.array([1e-6, -1e-6, 0])))
         ctrl = StepControl(dt=1e-3, t_end=0.05)
-        deltas, summ = weakstrong_monitor(u0, B0, u0 + pert, B0, P1, ctrl, sample_every=10)
+        [(deltas, summ)] = weakstrong_monitor(u0, B0, [(u0 + pert, B0)], P1, ctrl,
+                                              sample_every=10)
         assert 0 < summ["sup_delta"] < 1e-4
         assert np.isfinite(summ["c_fit"]) and summ["c_fit"] > 0
         # the fitted constant certifies the bound at every sample
@@ -173,7 +174,8 @@ class TestWeakStrong:
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=25)
         pert = leray_project(single_mode_field(g3, (1, 0, 0), np.array([0, 1e-6, 0])))
         ctrl = StepControl(dt=1e-3, t_end=0.03)
-        _, summ = weakstrong_monitor(u0, B0, u0 + pert, B0, params, ctrl, sample_every=10)
+        [(_, summ)] = weakstrong_monitor(u0, B0, [(u0 + pert, B0)], params, ctrl,
+                                         sample_every=10)
         assert np.isfinite(summ["c_fit"])
 
     def test_nan_pair_does_not_pass(self, g3):
@@ -183,14 +185,37 @@ class TestWeakStrong:
         c = u0.c.copy()
         c[0, 1, 1, 1] = np.nan
         with pytest.raises(FloatingPointError):
-            weakstrong_monitor(u0, B0, u0.with_coeffs(c), B0, P1,
+            weakstrong_monitor(u0, B0, [(u0.with_coeffs(c), B0)], P1,
                                StepControl(dt=1e-3, t_end=0.02), sample_every=5)
 
     def test_grid_mismatch_rejected(self, g3, g3_32):
         uA, BA = s3.make_initial(g3, "random_band", 0.05, seed=26)
         uB, BB_ = s3.make_initial(g3_32, "random_band", 0.05, seed=26)
         with pytest.raises(ValueError):
-            weakstrong_monitor(uA, BA, uB, BB_, P1, StepControl(dt=1e-3, t_end=0.01))
+            weakstrong_monitor(uA, BA, [(uB, BB_)], P1, StepControl(dt=1e-3, t_end=0.01))
+
+
+    def test_shared_reference_matches_separate_calls(self, g3):
+        """Twins stepped against one reference give, bit for bit, what
+        one-twin calls give; the identical twin stays at zero."""
+        u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=28)
+        pert = leray_project(single_mode_field(g3, (1, 1, 0), np.array([1e-6, -1e-6, 0])))
+        twins = [(u0, B0), (u0 + pert, B0), (u0, B0 + pert * -2.0)]
+        ctrl = StepControl(dt=1e-3, t_end=0.013)
+        shared = weakstrong_monitor(u0, B0, twins, P1, ctrl, sample_every=5)
+        assert len(shared) == len(twins)
+        for twin, (deltas, summ) in zip(twins, shared):
+            [(alone, alone_summ)] = weakstrong_monitor(u0, B0, [twin], P1, ctrl, sample_every=5)
+            assert deltas == alone
+            assert summ == alone_summ
+        assert shared[0][1]["sup_delta"] == 0.0
+        assert shared[1][1]["sup_delta"] > 0.0 and shared[2][1]["sup_delta"] > 0.0
+        assert [d.t for d in shared[1][0]] == pytest.approx([0.0, 0.005, 0.01, 0.013])
+
+    def test_no_twins_rejected(self, g3):
+        u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=29)
+        with pytest.raises(ValueError):
+            weakstrong_monitor(u0, B0, [], P1, StepControl(dt=1e-3, t_end=0.01))
 
 
 class TestRecordsCsv:

@@ -50,6 +50,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(amplitude=-1.0).validate()
         assert RunConfig(init_kind="zero", amplitude=0.0).validate()
+        # t_end = 0.15 is 149.99999999999997 dt in floating point
+        assert RunConfig(dt=1e-3, t_end=0.15).validate()
+
+    @pytest.mark.parametrize("line", [
+        "t_end = 0.0105",        # 10.5 steps: round() would move the final time
+        "band_lo = 3.0",         # above the default band_hi = 2.5
+        "filter_rho = -1.0",
+        "budget_s = 0.0",
+        "tol_energy_drift = -1e-6",
+        "tol_e_residual = -1e-5",
+        "tol_v_drift = -1e-6",
+    ])
+    def test_inconsistent_config_exit_2(self, tmp_path, line):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"dimension = 3\nn = 16\ndt = 1e-3\nt_end = 0.01\n{line}\n"
+                           f"out_dir = {tmp_path}/o\n")
+        with pytest.raises(ConfigError):
+            config_from_mapping(parse_config_file(cfgfile))
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunner:
@@ -121,6 +141,15 @@ class TestRunner:
         assert s["e_residual_max"] <= cfg.tol_e_residual
         assert s["rewritten_res_max"] <= 1e-11
         assert np.isfinite(s["c611_fit"]) and np.isfinite(s["c615_fit"])
+
+    def test_25d_e_residual_across_last_step(self, tmp_path):
+        """With samples 10 steps apart the combined-field law is still
+        checked across one step: a healthy run passes."""
+        cfg = RunConfig(dimension=2.5, n=32, t_end=0.1, sample_every=10,
+                        out_dir=str(tmp_path / "e10"))
+        s = run(cfg).summary
+        assert s["e_residual_max"] <= cfg.tol_e_residual
+        assert s["pass_e_residual"] and s["pass"]
 
     def test_freq_split_monitoring(self, tmp_path):
         cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3,
