@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
+from .params import step_count
+
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "config_from_mapping"]
 
 
@@ -63,8 +65,10 @@ class RunConfig:
             raise ConfigError("eps must be nonnegative")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ConfigError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
+        try:
+            step_count(self.t_end, self.dt)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if not 0 < self.hall_cfl <= 1:

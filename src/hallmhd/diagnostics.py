@@ -31,7 +31,7 @@ from .fields import SpectralField, l2_inner
 from .grid import GridSpec
 from .norms import hs_norm
 from .operators import curl3, k2_power, to_physical, to_spectral
-from .params import PhysicalParams, StepControl
+from .params import PhysicalParams, StepControl, step_count
 from .solver3d import SimState3D, StepSession, _SYM, make_state
 
 __all__ = [
@@ -340,17 +340,18 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
     the shared stepper workspace.  A twin with the reference's data is
     still its own session, so a zero difference certifies that no state
     leaks between sessions.  Returns one (deltas, summary) per twin, in
-    order.
+    order.  Raises ValueError when control.t_end is not an integer
+    multiple of control.dt.
     """
     if not twins:
         raise ValueError("weak-strong comparison needs at least one twin run")
     for uB, _ in twins:
         if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
             raise ValueError("twin runs must share the grid")
+    nsteps = step_count(control.t_end, control.dt)
     ref = StepSession(make_state(uA, BA, params), params, control)
     sessions = [StepSession(make_state(uB, BB_, params), params, control) for uB, BB_ in twins]
     sp = ref.sp
-    nsteps = round(control.t_end / control.dt)
     dt = control.dt
 
     def weight_now() -> float:

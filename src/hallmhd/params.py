@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .grid import GridSpec
 
-__all__ = ["PhysicalParams", "StepControl", "CFLError", "required_dt"]
+__all__ = ["PhysicalParams", "StepControl", "CFLError", "required_dt", "step_count"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,15 @@ class StepControl:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 < self.hall_cfl <= 1:
             raise ValueError(f"hall_cfl must be in (0, 1], got {self.hall_cfl}")
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps that reach t_end; raises ValueError unless t_end
+    is an integer multiple of dt (to a relative 1e-9)."""
+    nsteps = round(t_end / dt)
+    if abs(nsteps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    return nsteps
 
 
 class CFLError(RuntimeError):

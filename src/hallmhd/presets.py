@@ -189,10 +189,11 @@ def bisect_monotonicity_threshold(n: int = 16, seed: int = 0, t_probe: float = 0
 
 # orchestrations -------------------------------------------------------------
 
-def _experiment_weak_strong(out: Path, seed: int, n: int, t_end: float = 0.5) -> dict:
+def _experiment_weak_strong(out: Path, seed: int, n: int, dt: float = 1e-3,
+                            t_end: float = 0.5) -> dict:
     grid = GridSpec.create(3, n)
     params = PhysicalParams(1.0, 1.0, 1.0)
-    control = StepControl(dt=1e-3, t_end=t_end)
+    control = StepControl(dt=dt, t_end=t_end)
     u0, B0 = s3.make_initial(grid, "random_band", 0.05, seed=seed)
     pert = leray_project(single_mode_field(grid, (1, 1, 0), np.array([1e-6, -1e-6, 0.0])))
     # one reference run; the identical twin is its own session
@@ -219,11 +220,15 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
     out_dir; returns the report dict with a top-level "pass"."""
     if preset_id not in PRESETS:
         raise ConfigError(f"unknown preset {preset_id!r}; available: {sorted(PRESETS)}")
+    if preset_id == "threshold-bisect" and (dt is not None or t_end is not None):
+        raise ConfigError("threshold-bisect takes neither dt nor t_end "
+                          "(its probes choose their own steps)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if preset_id == "weak-strong-3d":
         report = _experiment_weak_strong(out, seed, n or 32,
+                                         dt if dt is not None else 1e-3,
                                          t_end if t_end is not None else 0.5)
     elif preset_id == "threshold-bisect":
         report = bisect_monotonicity_threshold(n=n or 32, seed=seed)

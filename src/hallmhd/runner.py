@@ -32,7 +32,7 @@ from .diagnostics import (
 from .grid import GridSpec
 from .norms import hs_norm, inhomogeneous_hs_norm
 from .operators import band_filter
-from .params import CFLError, PhysicalParams, StepControl, required_dt
+from .params import CFLError, PhysicalParams, StepControl, required_dt, step_count
 from .snapshots import write_snapshot
 
 __all__ = ["run", "RunResult", "NumericsError", "build_initial"]
@@ -112,7 +112,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
 
     session = s3.StepSession(state0, params, control)
     monitor = (_Monitor3D if grid.dim == 3 else _Monitor25D)(cfg, params, session)
-    nsteps = round(cfg.t_end / cfg.dt)
+    nsteps = step_count(cfg.t_end, cfg.dt)
 
     def snapshot(name: str, st: s3.SimState3D) -> None:
         write_snapshot(out / name, st.t, [st.u, st.B] + ([st.v] if st.extended else []))

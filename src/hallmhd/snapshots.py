@@ -44,14 +44,14 @@ def write_snapshot(path, t: float, fields: list[SpectralField]) -> None:
         raise ValueError("nothing to write")
     grid = fields[0].grid
     ncomp = 3 * len(fields)
-    payload = b"".join(
-        np.ascontiguousarray(f.c.astype(np.complex128)).tobytes() for f in fields
-    )
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    crc = 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, grid.dim, grid.n, ncomp, float(t)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+        for f in fields:  # streamed: no joined copy of the payload
+            data = memoryview(np.ascontiguousarray(f.c, dtype=np.complex128)).cast("B")
+            crc = zlib.crc32(data, crc)
+            fh.write(data)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def _read_header(raw: bytes, path) -> tuple[int, int, int, float]:

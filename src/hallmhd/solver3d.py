@@ -16,13 +16,36 @@ Quadratic terms are formed by collocation in physical space and
 dealiased by the two-thirds rule; the pressure gradient is eliminated
 by the Leray projector and is recoverable on demand from the Poisson
 equation -lap pi = div(u.grad u - B.grad B).
+
+The reference right-hand sides (rhs_physical, rhs_extended, hall_term)
+follow the equations term by term on the full lattice.  The stepper
+regroups them.  Under the two-thirds rule the band coefficients of a
+product of band-limited fields are exact, and with div B = 0
+(curl B) x B = div(B (x) B) - grad |B|^2/2, so on the band
+P[(curl B) x B] = P div(B (x) B).  Per RHS evaluation it transforms:
+
+* physical: u, B, u - eps curl B back (9 inverse transforms); the
+  symmetric T = B (x) B - u (x) u (nonlinear du/dt = P div T) and
+  (u - eps curl B) x B (nonlinear dB/dt = its curl) forward (9): 18
+  in all;
+* extended: u, B, v, eps curl v back (12); T, the nine v_i B_j and
+  v x u - eps (curl v) x B forward (18): 30 in all.
+
+Its transforms are pruned to the band: one 1D pass per axis, each
+skipping the lines that are zero (inverse) or dropped (forward), in
+the order scipy's irfftn/rfftn use, so that at power-of-two n they are
+bit for bit the full transforms.  Inverse: axis 0, axis 1, then the
+half-spectrum axis; forward: the half-spectrum axis, axis 0, axis 1
+(2D grids have no axis 1).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .fields import SpectralField
 from .grid import GridSpec
@@ -200,15 +223,25 @@ def rhs_extended(state: SimState3D, params: PhysicalParams):
 #
 # The stepper works on the compacted dealias band: evolved states carry
 # coefficients only inside the two-thirds mask, so all inter-FFT algebra
-# runs on ~n^3/7 modes instead of the full half-spectrum (the sandbox is
-# memory-bandwidth bound).  Scatter/gather at the FFT boundary doubles as
-# the dealiasing step.  The public rhs_* functions above stay the readable
-# reference; step() is tested to reproduce them.
+# runs on ~n^3/7 modes instead of the full half-spectrum.  The pruned
+# transforms read and write only band lines, which doubles as the
+# dealiasing step, and the quadratic terms are regrouped on the band (see
+# the module docstring: 18 transforms per physical RHS, 30 per extended).
+# The public rhs_* functions above stay the readable reference; step()
+# is tested to reproduce them.
 #
 # On a 2D grid the same stepper advances the 2.5D system: the 2.5D flow is
 # the 3D physical formulation restricted to x3-independent fields, i.e.
 # with a zero third wavevector.  Under the two-thirds rule this is exact
 # on the retained band.
+
+
+def _c2c_in_place(fn, view: np.ndarray, axis: int) -> None:
+    """1D complex transform of `view` along `axis`, written back into it
+    (overwrite_x lets scipy.fft work in place; it does not promise to)."""
+    out = fn(view, axis=axis, norm="forward", overwrite_x=True)
+    if not np.may_share_memory(out, view):
+        view[...] = out
 
 
 class _Stepper3D:
@@ -241,13 +274,41 @@ class _Stepper3D:
         self.inv_k2 = inv
         self.Eu = np.exp(-params.mu * k2 * dt)
         self.Eb = np.exp(-params.nu * k2 * dt)
-        nprod = 21 if extended else 12
+        nprod = 18 if extended else 9
         self.F = np.empty((nprod, m), dtype=np.complex128)
         self.buf = np.empty(grid.physical_shape)
         self.buf2 = np.empty(grid.physical_shape)
-        self.full1 = np.zeros(spec, dtype=np.complex128)
-        self.full1_flat = self.full1.reshape(-1)
         self.m = m
+
+        # Pruned band transforms.  A compact row is the C-order flattening
+        # of the (2k+1, .., 2k+1, k+1) band block; a full axis stores the
+        # band at indices [0, k] and [n-k, n-1].  Each 1D pass transforms
+        # only lines that are not identically zero (inverse) or that the
+        # band keeps (forward), in the order irfftn/rfftn use, so the
+        # result equals the full transform plus scatter/gather.
+        n, k, nfull = grid.n, grid.n // 3, grid.dim - 1
+        self.block = (2 * k + 1,) * nfull + (k + 1,)
+        assert m == np.prod(self.block), "dealias mask is not the band block"
+        band = (slice(0, k + 1), slice(n - k, n))
+        pos = (slice(0, k + 1), slice(k + 1, 2 * k + 1))
+        kz, whole, mid = (slice(0, k + 1),), slice(None), slice(k + 1, n - k)
+        self.slabs = [  # (lattice index, block index) of each band slab
+            (tuple(band[c] for c in combo) + kz, tuple(pos[c] for c in combo))
+            for combo in itertools.product((0, 1), repeat=nfull)
+        ]
+        heads = [list(itertools.product(band, repeat=a)) for a in range(nfull)]
+        # forward pass a: band rows on axes < a, whole axes from a on
+        self.fwd_lines = [[h + (whole,) * (nfull - a) + kz for h in heads[a]]
+                          for a in range(nfull)]
+        # spectral workspace, zero outside the band lines between calls
+        self.wk = np.zeros(spec, dtype=np.complex128)
+        # inverse pass a: whole axes up to a, band rows after it; the
+        # passes fill the off-band lines, which are zeroed after the call
+        self.inv_lines = [[self.wk[(whole,) * (a + 1) + t + kz]
+                           for t in itertools.product(band, repeat=nfull - a - 1)]
+                          for a in range(nfull)]
+        self.off_band = [self.wk[h + (mid,) + (whole,) * (nfull - a - 1) + kz]
+                         for a in range(nfull) for h in heads[a]]
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 
@@ -262,26 +323,44 @@ class _Stepper3D:
 
     def to_phys(self, comp: np.ndarray) -> list[np.ndarray]:
         """Compact (3, m) coefficients -> three physical arrays."""
+        w, n = self.wk, self.grid.n
         out = []
         for i in range(3):
-            self.full1_flat[self.idx] = comp[i]
-            out.append(to_physical(self.grid, self.full1))
+            blk = comp[i].reshape(self.block)
+            for lat, pos in self.slabs:
+                w[lat] = blk[pos]
+            for axis, lines in enumerate(self.inv_lines):
+                for view in lines:
+                    _c2c_in_place(sfft.ifft, view, axis)
+            out.append(sfft.irfftn(w, s=(n,), axes=(-1,), norm="forward"))
+            for view in self.off_band:
+                view[...] = 0.0
         return out
 
     def _fwd(self, row: int) -> None:
         """Transform self.buf (cache-hot product) into compact row of F."""
-        self.F[row] = to_spectral(self.grid, self.buf).reshape(-1)[self.idx]
+        r = sfft.rfftn(self.buf, axes=(-1,), norm="forward")
+        for axis, lines in enumerate(self.fwd_lines):
+            for idx in lines:
+                _c2c_in_place(sfft.fft, r[idx], axis)
+        blk = self.F[row].reshape(self.block)
+        for lat, pos in self.slabs:
+            blk[pos] = r[lat]
 
-    def _fwd_product(self, row: int, a: np.ndarray, b: np.ndarray) -> None:
-        np.multiply(a, b, out=self.buf)
-        self._fwd(row)
-
-    def _fwd_cross(self, row: int, a: list, b: list) -> None:
+    def _fwd_cross(self, row: int, a: list, b: list, c: list | None = None,
+                   d: list | None = None) -> None:
+        """Rows row..row+2 of F: the transform of a x b, or of a x b - c x d."""
+        buf, buf2 = self.buf, self.buf2
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            np.multiply(a[j], b[k], out=self.buf)
-            np.multiply(a[k], b[j], out=self.buf2)
-            self.buf -= self.buf2
+            np.multiply(a[j], b[k], out=buf)
+            np.multiply(a[k], b[j], out=buf2)
+            buf -= buf2
+            if c is not None:
+                np.multiply(c[j], d[k], out=buf2)
+                buf -= buf2
+                np.multiply(c[k], d[j], out=buf2)
+                buf += buf2
             self._fwd(row + i)
 
     def _curl(self, c: np.ndarray) -> np.ndarray:
@@ -297,6 +376,18 @@ class _Stepper3D:
         for i in range(3):
             c[i] -= self.k[i] * kdot
         return c
+
+    def _force(self) -> np.ndarray:
+        """P div T, mean-free, from rows 0..5 of F (T = B (x) B - u (x) u):
+        on the band, the Lorentz force minus advection."""
+        ik = self.ik
+        T = {ij: self.F[row] for row, ij in enumerate(_SYM)}
+        force = self._project(np.stack([
+            sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
+            for i in range(3)
+        ]))
+        self._zero_mean(force)
+        return force
 
     def _zero_mean(self, c: np.ndarray) -> None:
         if self.idx[0] == 0:
@@ -323,51 +414,42 @@ class _Stepper3D:
             umax = float(np.max([np.abs(p).max() for p in up]))
             bmax = float(np.max([np.abs(p).max() for p in Bp]))
 
-        if not self.extended:
-            Jp = self.to_phys(self._curl(Bc))
-            for mpos, (i, j) in enumerate(_SYM):
-                self._fwd_product(mpos, up[i], up[j])
-            self._fwd_cross(6, up, Bp)
-            self._fwd_cross(9, Jp, Bp)
-            T = {ij: F[mpos] for mpos, ij in enumerate(_SYM)}
-            adv = np.stack([
-                sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
-                for i in range(3)
-            ])
-            Nu = self._project(F[9:12] - adv)
-            self._zero_mean(Nu)
-            NB = self._curl(F[6:9] - self.params.eps * F[9:12])
-            return Nu, NB, umax, bmax
-
-        vp = self.to_phys(vc)
-        wp = self.to_phys(self._curl(vc))
-        for mpos, (i, j) in enumerate(_SYM):
+        # rows 0..5: T = B (x) B - u (x) u; on the band P div T is the
+        # Lorentz force minus advection, for both formulations
+        for row, (i, j) in enumerate(_SYM):
             np.multiply(Bp[i], Bp[j], out=self.buf)
             np.multiply(up[i], up[j], out=self.buf2)
             self.buf -= self.buf2
-            self._fwd(mpos)
-        mpos = 6
+            self._fwd(row)
+        eps = self.params.eps
+
+        if not self.extended:
+            # rows 6..8: (u - eps curl B) x B; its curl is dB/dt
+            Ep = self.to_phys(uc - eps * self._curl(Bc))
+            self._fwd_cross(6, Ep, Bp)
+            return self._force(), self._curl(F[6:9]), umax, bmax
+
+        # rows 6..14: F(v_i B_j), for curl(v x B) and v.grad B = div(B (x) v);
+        # rows 15..17: v x u - eps (curl v) x B
+        vp = self.to_phys(vc)
+        ew = self._curl(vc)
+        ew *= eps
+        wp = self.to_phys(ew)
+        row = 6
         for i in range(3):
             for j in range(3):
-                self._fwd_product(mpos, vp[i], Bp[j])
-                mpos += 1
-        self._fwd_cross(15, wp, Bp)
-        self._fwd_cross(18, vp, up)
-        T = {ij: F[mpos] for mpos, ij in enumerate(_SYM)}
+                np.multiply(vp[i], Bp[j], out=self.buf)
+                self._fwd(row)
+                row += 1
+        self._fwd_cross(15, vp, up, wp, Bp)
         P = F[6:15].reshape(3, 3, self.m)
-        force = np.stack([
-            sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
-            for i in range(3)
-        ])
-        force = self._project(force)
-        self._zero_mean(force)
         vxB = np.stack([P[1, 2] - P[2, 1], P[2, 0] - P[0, 2], P[0, 1] - P[1, 0]])
         NB = self._curl(vxB)
-        eps = self.params.eps
         vgradB = np.stack([
             ik[0] * P[0, j] + ik[1] * P[1, j] + ik[2] * P[2, j] for j in range(3)
         ])
-        Nv = self._curl(-eps * F[15:18] + F[18:21] + (2.0 * eps) * vgradB)
+        Nv = self._curl(F[15:18] + (2.0 * eps) * vgradB)
+        force = self._force()
         Nv += force
         return force, NB, Nv, umax, bmax
 

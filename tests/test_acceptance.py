@@ -33,6 +33,8 @@ from hallmhd.runner import run
 from hallmhd.sampling import random_field, single_mode_field
 from hallmhd.snapshots import read_snapshot
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(k: int, ok: bool, msg: str, t0: float) -> None:
     line = f"[ACCEPTANCE {k:2d}] {'PASS' if ok else 'FAIL'} {msg} [{time.perf_counter() - t0:.0f}s]"

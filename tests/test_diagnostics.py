@@ -212,6 +212,11 @@ class TestWeakStrong:
         assert shared[1][1]["sup_delta"] > 0.0 and shared[2][1]["sup_delta"] > 0.0
         assert [d.t for d in shared[1][0]] == pytest.approx([0.0, 0.005, 0.01, 0.013])
 
+    def test_t_end_off_the_dt_grid_rejected(self, g3):
+        u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=30)
+        with pytest.raises(ValueError, match="integer multiple"):
+            weakstrong_monitor(u0, B0, [(u0, B0)], P1, StepControl(dt=1e-3, t_end=0.0105))
+
     def test_no_twins_rejected(self, g3):
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=29)
         with pytest.raises(ValueError):

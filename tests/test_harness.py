@@ -53,6 +53,15 @@ class TestConfig:
         # t_end = 0.15 is 149.99999999999997 dt in floating point
         assert RunConfig(dt=1e-3, t_end=0.15).validate()
 
+    def test_step_count_rule(self):
+        # the one rule behind RunConfig.validate, run() and the twin monitor
+        from hallmhd.params import step_count
+
+        assert step_count(0.15, 1e-3) == 150
+        assert step_count(0.0105, 5e-4) == 21
+        with pytest.raises(ValueError, match="integer multiple"):
+            step_count(0.0105, 1e-3)
+
     @pytest.mark.parametrize("line", [
         "t_end = 0.0105",        # 10.5 steps: round() would move the final time
         "band_lo = 3.0",         # above the default band_hi = 2.5
@@ -196,6 +205,30 @@ class TestPresets:
                             t_end=0.05)
         assert report["pass_identical"] and report["pass"]
         assert (tmp_path / "ws" / "report.json").exists()
+
+    def test_weak_strong_honours_dt(self, tmp_path):
+        # 21 steps of 5e-4, sampled every 20 steps and at the end
+        report = experiment("weak-strong-3d", tmp_path / "ws", seed=0, n=16,
+                            dt=5e-4, t_end=0.0105)
+        assert [s["t"] for s in report["series"]] == pytest.approx([0.0, 0.01, 0.0105])
+
+    def test_weak_strong_t_end_off_the_dt_grid_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["experiment", "weak-strong-3d", "--n", "16", "--t-end", "0.0105",
+                       "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert "not an integer multiple of dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, flag", [("dt", "--dt"), ("t_end", "--t-end")])
+    def test_threshold_bisect_rejects_dt_and_t_end(self, tmp_path, monkeypatch, key, flag):
+        import hallmhd.presets as presets_mod
+
+        # the bisection itself takes minutes; these calls must not reach it
+        monkeypatch.setattr(presets_mod, "bisect_monotonicity_threshold",
+                            lambda **kw: {"threshold_hi": 1.0})
+        with pytest.raises(ConfigError, match="threshold-bisect"):
+            experiment("threshold-bisect", tmp_path / "tb", **{key: 1e-3})
+        rc = cli.main(["experiment", "threshold-bisect", flag, "1e-3", "--out", str(tmp_path / "tb")])
+        assert rc == 2
 
     def test_threshold_bisect_smoke(self):
         out = bisect_monotonicity_threshold(n=16, seed=1, t_probe=0.08, iters=2,

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hallmhd.fields import SpectralField
+from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
-from hallmhd.operators import curl3, laplacian_scalar, leray_project, to_spectral
+from hallmhd.operators import curl3, laplacian_scalar, leray_project, to_physical, to_spectral
 from hallmhd.params import CFLError, PhysicalParams, StepControl
 from hallmhd import solver3d as s3
 from hallmhd.sampling import random_field
@@ -172,23 +174,97 @@ class TestStep:
             s3.step(st, P1, StepControl(dt=0.5, t_end=1))
         assert exc.value.dt_required < 0.5
 
-    def test_matches_reference_composition(self, g3):
-        """The compact stepper reproduces the step assembled from the
-        public RHS functions and the integrating factor."""
-        st = small_random_state(g3, amplitude=0.3, seed=11, extended=True)
+    @staticmethod
+    def assert_matches_reference_composition(g3, formulation, params):
+        """The compact stepper, with its regrouped products and pruned
+        transforms, reproduces the step assembled from the full-lattice
+        nonlinear terms and the integrating factors, in every field."""
+        extended = formulation == "extended"
+        st = small_random_state(g3, amplitude=0.3, seed=11, extended=extended, params=params)
         dt = 1e-3
-        out = s3.step(st, P1, StepControl(dt=dt, t_end=1))
-        Eu = np.exp(-P1.mu * g3.k2 * dt)
-        du1, dB1, dv1, _, _ = s3._nonlinear_extended(st, P1)
-        mid = s3.SimState3D(
-            st.t + dt,
-            SpectralField(g3, Eu * (st.u.c + dt * du1.c)),
-            SpectralField(g3, Eu * (st.B.c + dt * dB1.c)),
-            SpectralField(g3, Eu * (st.v.c + dt * dv1.c)),
-        )
-        du2, dB2, dv2, _, _ = s3._nonlinear_extended(mid, P1)
-        u_ref = Eu * st.u.c + 0.5 * dt * (Eu * du1.c + du2.c)
-        assert rel_err(out.u.c, leray_project(SpectralField(g3, u_ref)).c) < 1e-13
+        out = s3.step(st, params, StepControl(dt=dt, t_end=1))
+        nonlinear = s3._nonlinear_extended if extended else s3._nonlinear_physical
+        Eu = np.exp(-params.mu * g3.k2 * dt)
+        Eb = np.exp(-params.nu * g3.k2 * dt)
+        names = ("u", "B", "v") if extended else ("u", "B")
+        E = (Eu, Eb, Eu)
+        f0 = [getattr(st, name).c for name in names]
+        n1 = [d.c for d in nonlinear(st, params)[:len(names)]]
+        mid = s3.SimState3D(st.t + dt, *(SpectralField(g3, e * (f + dt * a))
+                                         for e, f, a in zip(E, f0, n1)))
+        n2 = [d.c for d in nonlinear(mid, params)[:len(names)]]
+        for name, e, f, a, b in zip(names, E, f0, n1, n2):
+            ref = leray_project(SpectralField(g3, e * f + 0.5 * dt * (e * a + b))).c
+            ref[:, 0, 0, 0] = 0.0
+            assert rel_err(getattr(out, name).c, ref) < 1e-13, name
+
+    def test_matches_reference_composition(self, g3):
+        self.assert_matches_reference_composition(g3, "extended", P1)
+
+    @pytest.mark.parametrize("formulation, params", [
+        ("extended", PhysicalParams(0.8, 0.8, 0.0)),
+        ("physical", PhysicalParams(1.0, 0.7, 1.0)),
+        ("physical", PhysicalParams(1.0, 0.7, 0.0)),
+    ], ids=["extended-eps0", "physical-eps1", "physical-eps0"])
+    def test_matches_reference_composition_variants(self, g3, formulation, params):
+        self.assert_matches_reference_composition(g3, formulation, params)
+
+
+class TestBandTransforms:
+    """The stepper's pruned transforms against the full ones: scatter +
+    irfftn and rfftn + gather over the dealias band."""
+
+    @staticmethod
+    def stepper(dim, n):
+        return s3._Stepper3D(GridSpec.create(dim, n), P1, 1e-3, False)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_pair_matches_full_transforms(self, dim, n):
+        sp = self.stepper(dim, n)
+        g = sp.grid
+        rng = np.random.default_rng(n + dim)
+        # two calls, so a workspace left dirty by the first shows in the second
+        for _ in range(2):
+            comp = rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
+            got = np.stack(sp.to_phys(comp))
+            want = to_physical(g, sp.scatter_field(comp).c)
+            values = rng.standard_normal(g.physical_shape)
+            sp.buf[...] = values
+            sp._fwd(0)
+            want_c = sp.gather(to_spectral(g, values[None]))[0]
+            if n & (n - 1) == 0:  # power-of-two scaling: bit for bit
+                assert np.array_equal(got, want)
+                assert np.array_equal(sp.F[0], want_c)
+            else:  # the forward normalization is applied per axis
+                assert rel_err(got, want) <= 1e-15
+                assert rel_err(sp.F[0], want_c) <= 1e-15
+
+    @pytest.mark.parametrize("dim, extended, budget", [
+        (3, False, (9, 9)), (2, False, (9, 9)), (3, True, (18, 12)),
+    ])
+    def test_transform_budget(self, monkeypatch, dim, extended, budget):
+        """Forward and inverse scipy.fft calls per nonlinear evaluation:
+        one single-axis transform per transformed component."""
+        g = GridSpec.create(dim, 16)
+        sp = s3._Stepper3D(g, P1, 1e-3, extended)
+        rng = np.random.default_rng(3)
+        fields = [rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
+                  for _ in range(3 if extended else 2)]
+        calls = {"rfftn": 0, "irfftn": 0}
+
+        def counting(name):
+            fn = getattr(scipy.fft, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(scipy.fft, name, counting(name))
+        sp.nonlinear(*fields)
+        assert (calls["rfftn"], calls["irfftn"]) == budget
 
 
 class TestInitialData:
