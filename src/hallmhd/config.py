@@ -19,6 +19,13 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
+# initial-data kinds per dimension (solver3d.make_initial, solver25d.make_initial_25d)
+_INIT_KINDS = {
+    3.0: ("beltrami", "random_band", "taylor_green", "zero"),
+    2.5: ("random_band", "single_mode_b3", "zero"),
+}
+
+
 @dataclass
 class RunConfig:
     dimension: float = 3.0          # 3 or 2.5
@@ -73,6 +80,10 @@ class RunConfig:
             raise ConfigError("sample_every must be >= 1")
         if not 0 < self.hall_cfl <= 1:
             raise ConfigError("hall_cfl must be in (0, 1]")
+        kinds = _INIT_KINDS[self.dimension]
+        if self.init_kind not in kinds:
+            raise ConfigError(f"init_kind {self.init_kind!r} is not a {self.dimension:g}D "
+                              f"kind; choose one of {', '.join(kinds)}")
         if self.amplitude <= 0 and self.init_kind != "zero":
             raise ConfigError("amplitude must be positive")
         if self.band_lo > self.band_hi:

@@ -17,6 +17,16 @@ fields, so the RHS and the step run on solver3d's compact-band stepper
 over the 2D lattice (third wavevector zero).  The certificates here
 (rewritten_B_rhs, E_residual, identity_suite) evaluate the 2.5D forms
 independently on the full lattice.
+
+Certificate transform budget per sample of a run (mu = nu): the run's
+monitor inverse-transforms u and B in one batched call and passes them
+in; E_law_terms of the sampled state costs 1 inverse (E) and 2 forward
+transforms, rewritten_B_rhs 1 inverse (j with lap B) and 5 forward:
+7 forward and 3 inverse in all.  The E-law terms of a sample are
+carried to the next E_residual, whose before-state it is when samples
+are one step apart.  Each _tilde_advect is one batched forward call;
+pocketfft transforms every slice of a batch as it would alone, so
+batching changes no bit.
 """
 
 from __future__ import annotations
@@ -39,7 +49,9 @@ __all__ = [
     "make_initial_25d",
     "rhs_25d",
     "rewritten_B_rhs",
+    "physical_uB",
     "step_25d",
+    "E_law_terms",
     "E_residual",
     "identity_suite",
 ]
@@ -78,13 +90,11 @@ def make_state_25d(u: SpectralField, B: SpectralField, params: PhysicalParams,
 
 def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
     """(a~ . grad~) b as div~(b (x) a~), valid for div~ a~ = 0.
-    ap, bp are physical (3, n, n) arrays; returns spectral coefficients."""
+    ap, bp are physical (3, n, n) arrays; returns spectral coefficients.
+    The six products a_i b_j (i = 1, 2) go through one batched transform."""
     k1, k2 = g.kvec
-    out = np.empty((3,) + g.spectral_shape, dtype=np.complex128)
-    for j in range(3):
-        prod = to_spectral(g, np.stack([ap[0] * bp[j], ap[1] * bp[j]]))
-        out[j] = 1j * (k1 * prod[0] + k2 * prod[1])
-    return out
+    prod = to_spectral(g, ap[:2, None] * bp[None])
+    return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
 def _nonlinear_25d(state: SimState25D, params: PhysicalParams):
@@ -106,21 +116,27 @@ def rhs_25d(state: SimState25D, params: PhysicalParams) -> tuple[SpectralField, 
     )
 
 
-def rewritten_B_rhs(state: SimState25D, params: PhysicalParams) -> SpectralField:
+def physical_uB(state: SimState25D) -> np.ndarray:
+    """Physical u and B of a state as one (2, 3, n, n) array (one batched
+    inverse transform)."""
+    return to_physical(state.grid, np.stack([state.u.c, state.B.c]))
+
+
+def rewritten_B_rhs(state: SimState25D, params: PhysicalParams,
+                    phys: np.ndarray | None = None) -> SpectralField:
     """dB/dt evaluated from the curl-identity rewriting
 
         dB/dt = -u~.grad~ B + B~.grad~ u
                 + eps (lap~ B x B + 2 j~.grad~ B - grad~(j.B)) + nu lap~ B,
 
     which must agree with rhs_25d to roundoff; it cross-validates the
-    advective assembly against an independent algebraic route."""
+    advective assembly against an independent algebraic route.  `phys`
+    is the state's physical (u, B) (physical_uB) when the caller has it."""
     g = state.grid
     mask = g.dealias_mask
     eps = params.eps
-    up = to_physical(g, state.u.c)
-    Bp = to_physical(g, state.B.c)
-    jp = to_physical(g, state.j.c)
-    lapBp = to_physical(g, -g.k2 * state.B.c)
+    up, Bp = physical_uB(state) if phys is None else phys
+    jp, lapBp = to_physical(g, np.stack([state.j.c, -g.k2 * state.B.c]))
 
     lapBxB = to_spectral(g, np.cross(lapBp, Bp, axis=0))
     jdotB = to_spectral(g, np.sum(jp * Bp, axis=0))
@@ -142,23 +158,34 @@ def step_25d(state: SimState25D, params: PhysicalParams, control: StepControl) -
     return make_state_25d(st.u, st.B, params, t=st.t)
 
 
+def E_law_terms(state: SimState25D, params: PhysicalParams,
+                up: np.ndarray | None = None) -> tuple[SpectralField, np.ndarray]:
+    """(E, E~.grad~ u - u~.grad~ E + mu lap~ E) of one state: the combined
+    field and the spatial side of its law, dealiased.  `up` is the
+    state's physical u when the caller has it."""
+    g = state.grid
+    E = state.E
+    Ep = to_physical(g, E.c)
+    if up is None:
+        up = to_physical(g, state.u.c)
+    adv = _tilde_advect(g, Ep, up) - _tilde_advect(g, up, Ep)
+    return E, adv * g.dealias_mask - params.mu * g.k2 * E.c
+
+
 def E_residual(before: SimState25D, after: SimState25D, params: PhysicalParams,
-               dt: float) -> float:
+               dt: float, terms: tuple | None = None) -> float:
     """Normalized residual of the combined-field advection-diffusion law
     on two consecutive snapshots (centered time difference, midpoint
-    spatial terms).  Needs mu = nu."""
+    spatial terms).  Needs mu = nu.  `terms` is the pair of E_law_terms
+    of (before, after) when the caller has them."""
     params.require_equal_viscosities("the combined-field law")
     g = before.grid
-    E0, E1 = before.E, after.E
-
-    def spatial(st: SimState25D, E: SpectralField) -> np.ndarray:
-        Ep = to_physical(g, E.c)
-        up = to_physical(g, st.u.c)
-        adv = _tilde_advect(g, Ep, up) - _tilde_advect(g, up, Ep)
-        return adv * g.dealias_mask - params.mu * g.k2 * E.c
+    if terms is None:
+        terms = E_law_terms(before, params), E_law_terms(after, params)
+    (E0, s0), (E1, s1) = terms
 
     dE = (E1.c - E0.c) / dt
-    res = dE - 0.5 * (spatial(before, E0) + spatial(after, E1))
+    res = dE - 0.5 * (s0 + s1)
     mid = 0.5 * (E0 + E1)
     scale = hs_norm(mid, 0.0)
     if scale == 0.0:

@@ -455,8 +455,12 @@ class _Stepper3D:
 
     def advance(self, fields: list[np.ndarray], control: StepControl):
         """One Heun step on compact coefficient arrays (in order u, B[, v]).
-        Raises FloatingPointError on non-finite input fields and CFLError
-        when the stage-1 amplitudes violate the step guards."""
+        Raises FloatingPointError on non-finite input fields or a
+        non-finite result, and CFLError when the stage-1 amplitudes
+        violate the step guards.  The CFL bound is taken once per step,
+        from the stage-1 maxima; stage 2 computes no maxima, so its
+        predictor fields are not CFL-checked, but a non-finite result
+        fails this step rather than the next one."""
         dt = self.dt
         out = self.nonlinear(*fields)
         umax, bmax = out[-2], out[-1]
@@ -479,6 +483,8 @@ class _Stepper3D:
         for y in new:
             self._project(y)
             self._zero_mean(y)
+            if not np.isfinite(y.view(np.float64)).all():  # float view: half the cost
+                raise FloatingPointError("non-finite fields after stage 2")
         return new
 
 

@@ -80,6 +80,21 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfgfile)]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dimension,kind", [
+        ("3", "single_mode_b3"),   # a 2.5D-only kind
+        ("2.5", "beltrami"),       # a 3D-only kind
+        ("3", "vortex_sheet"),     # no such kind
+    ])
+    def test_init_kind_per_dimension_exit_2(self, tmp_path, capsys, dimension, kind):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"dimension = {dimension}\nn = 16\ninit_kind = {kind}\n"
+                           f"out_dir = {tmp_path}/o\n")
+        with pytest.raises(ConfigError, match=kind):
+            config_from_mapping(parse_config_file(cfgfile))
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
+        assert kind in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunner:
     def test_zero_data_run(self, tmp_path):
@@ -159,6 +174,73 @@ class TestRunner:
         s = run(cfg).summary
         assert s["e_residual_max"] <= cfg.tol_e_residual
         assert s["pass_e_residual"] and s["pass"]
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_25d_e_residual_rows_match_recomputed(self, tmp_path, sample_every):
+        """The monitor's carried E-law terms and shared transforms give the
+        e_residual rows that E_residual computes afresh across the step
+        before each sample."""
+        from hallmhd import solver25d as s25
+        from hallmhd.grid import GridSpec
+        from hallmhd.params import PhysicalParams, StepControl
+        from hallmhd.runner import build_initial
+
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.01, sample_every=sample_every,
+                        amplitude=0.1, seed=5)
+        res = run(cfg, out_dir=tmp_path / "e")
+        grid = GridSpec.create(2, cfg.n)
+        params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
+        control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
+        st3 = build_initial(cfg, grid, params)
+        states = [s25.make_state_25d(st3.u, st3.B, params)]
+        for _ in range(10):
+            states.append(s25.step_25d(states[-1], params, control))
+        steps = list(range(0, 11, sample_every)) + ([10] if 10 % sample_every else [])
+        rows = [r.e_residual for r in res.records]
+        assert len(rows) == len(steps)
+        assert rows[0] == 0.0
+        for i, row in zip(steps[1:], rows[1:]):
+            a, b = states[i - 1], states[i]
+            assert row == s25.E_residual(a, b, params, b.t - a.t)
+
+    @pytest.mark.parametrize("nu,budget", [(1.0, (7, 3)), (0.5, (5, 2))])
+    def test_25d_certificate_transform_budget(self, tmp_path, monkeypatch, nu, budget):
+        """Full-lattice transforms per 2.5D sample (the stepper's pruned
+        one-axis transforms, rhs_25d included, are not counted): 7 forward
+        and 3 inverse with the combined-field law (mu = nu), 5 and 2
+        without it."""
+        import scipy.fft
+
+        from hallmhd import runner
+
+        counts = None
+        per_sample = []
+
+        def counting(fn, slot):
+            def wrapped(*args, **kwargs):
+                if counts is not None and len(kwargs.get("axes", ())) == 2:
+                    counts[slot] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        sample = runner._Monitor25D.sample
+
+        def counted_sample(self, *args):
+            nonlocal counts
+            counts = [0, 0]
+            try:
+                return sample(self, *args)
+            finally:
+                per_sample.append(tuple(counts))
+                counts = None
+
+        monkeypatch.setattr(scipy.fft, "rfftn", counting(scipy.fft.rfftn, 0))
+        monkeypatch.setattr(scipy.fft, "irfftn", counting(scipy.fft.irfftn, 1))
+        monkeypatch.setattr(runner._Monitor25D, "sample", counted_sample)
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.005, sample_every=1,
+                        nu=nu, amplitude=0.1, seed=5)
+        run(cfg, out_dir=tmp_path / "b")
+        assert per_sample == [budget] * 6
 
     def test_freq_split_monitoring(self, tmp_path):
         cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3,
@@ -313,8 +395,49 @@ class TestCli:
         assert t <= 0.003
         assert all(np.all(np.isfinite(f.c)) for f in fields)
 
+    @pytest.mark.parametrize("dimension", ["3", "2.5"])
+    def test_nan_in_stage_2_fails_at_its_step(self, tmp_path, monkeypatch, capsys, dimension):
+        """A NaN that appears in stage 2 of step 3 (finite stage-1 fields)
+        stops the run at step 3, not at the stage-1 check of step 4."""
+        from hallmhd import solver3d as s3
+
+        nonlinear = s3._Stepper3D.nonlinear
+        stage2 = []
+
+        def poisoned(self, *fields, with_maxes=True):
+            out = nonlinear(self, *fields, with_maxes=with_maxes)
+            if not with_maxes and self.dt > 0:  # a step's stage 2, not rhs_25d
+                stage2.append(None)
+                if len(stage2) == 3:
+                    out[0][1, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(s3._Stepper3D, "nonlinear", poisoned)
+        out = tmp_path / "nan2"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"dimension = {dimension}\nn = 16\ndt = 1e-3\nt_end = 0.02\n"
+                           f"sample_every = 10\namplitude = 0.05\nseed = 2\nout_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 3
+        assert "at step 3 (t=0.003)" in capsys.readouterr().err
+        t, fields = read_snapshot(out / "snap_last_good.hmhd")
+        assert t <= 0.003
+        assert all(np.all(np.isfinite(f.c)) for f in fields)
+
+    def test_library_value_error_from_run_exit_2(self, tmp_path, monkeypatch, capsys):
+        import hallmhd.cli as climod
+
+        def reject(cfg):
+            raise ValueError("rejected input")
+
+        monkeypatch.setattr(climod, "run", reject)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("dimension = 3\nn = 16\nt_end = 0.01\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
+        assert "rejected input" in capsys.readouterr().err
+
     def test_library_value_error_exit_2(self, tmp_path, capsys):
-        # a 2.5D-only initial-data kind in a 3D run is rejected by the solver
+        # a 2.5D-only initial-data kind in a 3D run is rejected by the
+        # configuration check, naming the kind
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("dimension = 3\nn = 16\ninit_kind = single_mode_b3\n"
                            f"out_dir = {tmp_path}/v\n")

@@ -169,6 +169,42 @@ class TestStepAndEResidual:
         assert drift < 1e-7
 
 
+class TestSharedCertificateWork:
+    """Batching and reuse in the certificates change no bit."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_batched_tilde_advect_matches_component_loop(self, n):
+        from hallmhd.operators import to_spectral
+
+        g = GridSpec.create(2, n)
+        u, B = s25.make_initial_25d(g, "random_band", 0.3, seed=n, hi=n / 4)
+        ap, bp = u.to_physical(), B.to_physical()
+        k1, k2 = g.kvec
+        ref = np.empty((3,) + g.spectral_shape, dtype=np.complex128)
+        for j in range(3):
+            prod = to_spectral(g, np.stack([ap[0] * bp[j], ap[1] * bp[j]]))
+            ref[j] = 1j * (k1 * prod[0] + k2 * prod[1])
+        assert np.array_equal(s25._tilde_advect(g, ap, bp), ref)
+
+    def test_E_residual_with_supplied_terms(self, g2):
+        ctrl = StepControl(dt=1e-3, t_end=1.0)
+        a = random_state(g2, amp=0.3, seed=21)
+        b = s25.step_25d(a, P1, ctrl)
+        # as the run's monitor supplies them: u from the batched (u, B) transform
+        terms = (s25.E_law_terms(a, P1, s25.physical_uB(a)[0]),
+                 s25.E_law_terms(b, P1, s25.physical_uB(b)[0]))
+        ref = s25.E_residual(a, b, P1, ctrl.dt)
+        assert ref > 0.0
+        assert s25.E_residual(a, b, P1, ctrl.dt, terms=terms) == ref
+
+    def test_rewritten_B_rhs_with_phys(self, g2):
+        st = random_state(g2, amp=0.3, seed=22)
+        phys = np.stack([st.u.to_physical(), st.B.to_physical()])
+        assert np.array_equal(s25.physical_uB(st), phys)
+        assert np.array_equal(s25.rewritten_B_rhs(st, P1, phys).c,
+                              s25.rewritten_B_rhs(st, P1).c)
+
+
 class TestIdentitySuite:
     def test_random_divfree(self, g2):
         K = g2.n / 4.0 - 1.0
