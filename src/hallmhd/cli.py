@@ -61,25 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    mapping: dict = {}
-    cfg = None
-    if args.preset:
-        cfg = preset_run_config(args.preset, seed=args.seed or 0)
+    # preset, then file, then flags; validated once, as a whole
+    mapping = asdict(preset_run_config(args.preset, seed=args.seed or 0)) if args.preset else {}
     if args.config:
         mapping.update(parse_config_file(args.config))
-    if cfg is None:
-        cfg = config_from_mapping(mapping)
-    else:
-        for key, val in mapping.items():
-            cfg = config_from_mapping({**asdict(cfg), key: val})
     for key in ("seed", "n", "dt", "t_end"):
         val = getattr(args, key)
         if val is not None:
-            setattr(cfg, key, val)
+            mapping[key] = val
     if args.out:
-        cfg.out_dir = args.out
-    cfg.validate()
-    result = run(cfg)
+        mapping["out_dir"] = args.out
+    result = run(config_from_mapping(mapping))
     print(json.dumps({"out_dir": str(result.out_dir), "pass": result.passed},
                      sort_keys=True))
     return EXIT_PASS if result.passed else EXIT_MONITOR_FAIL

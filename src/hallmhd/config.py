@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError("filter_rho must be nonnegative")
         if self.budget_s <= 0:
             raise ConfigError("budget_s must be positive")
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot_every must be nonnegative")
         for f in dataclass_fields(self):
             if f.name.startswith("tol_") and getattr(self, f.name) < 0:
                 raise ConfigError(f"{f.name} must be nonnegative")

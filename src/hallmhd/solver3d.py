@@ -20,16 +20,22 @@ equation -lap pi = div(u.grad u - B.grad B).
 The reference right-hand sides (rhs_physical, rhs_extended, hall_term)
 follow the equations term by term on the full lattice.  The stepper
 regroups them.  Under the two-thirds rule the band coefficients of a
-product of band-limited fields are exact, and with div B = 0
+product of band-limited fields are exact, so pointwise vector
+identities carry over to the band.  With div B = 0,
 (curl B) x B = div(B (x) B) - grad |B|^2/2, so on the band
-P[(curl B) x B] = P div(B (x) B).  Per RHS evaluation it transforms:
+P[(curl B) x B] = P div(B (x) B).  With div v = div B = 0 as well,
+curl(v x B) = B.grad v - v.grad B, and grad(v.B) = v.grad B + B.grad v
++ v x curl B + B x curl v has no curl, so
+  -eps (curl v) x B + v x u + 2 eps v.grad B
+      = v x E - eps curl(v x B) + grad(eps v.B),   E = u - eps curl B,
+and the extended dv/dt = mu lap v + P div T + curl(v x E - eps curl(v x B)).
+Per RHS evaluation the stepper transforms:
 
-* physical: u, B, u - eps curl B back (9 inverse transforms); the
-  symmetric T = B (x) B - u (x) u (nonlinear du/dt = P div T) and
-  (u - eps curl B) x B (nonlinear dB/dt = its curl) forward (9): 18
-  in all;
-* extended: u, B, v, eps curl v back (12); T, the nine v_i B_j and
-  v x u - eps (curl v) x B forward (18): 30 in all.
+* physical: u, B, E back (9 inverse transforms); the symmetric
+  T = B (x) B - u (x) u (nonlinear du/dt = P div T) and E x B
+  (nonlinear dB/dt = its curl) forward (9): 18 in all;
+* extended: u, B, v, E back (12); T, v x B and v x E forward (12): 24
+  in all.
 
 Its transforms are pruned to the band: one 1D pass per axis, each
 skipping the lines that are zero (inverse) or dropped (forward), in
@@ -226,7 +232,7 @@ def rhs_extended(state: SimState3D, params: PhysicalParams):
 # runs on ~n^3/7 modes instead of the full half-spectrum.  The pruned
 # transforms read and write only band lines, which doubles as the
 # dealiasing step, and the quadratic terms are regrouped on the band (see
-# the module docstring: 18 transforms per physical RHS, 30 per extended).
+# the module docstring: 18 transforms per physical RHS, 24 per extended).
 # The public rhs_* functions above stay the readable reference; step()
 # is tested to reproduce them.
 #
@@ -274,7 +280,7 @@ class _Stepper3D:
         self.inv_k2 = inv
         self.Eu = np.exp(-params.mu * k2 * dt)
         self.Eb = np.exp(-params.nu * k2 * dt)
-        nprod = 18 if extended else 9
+        nprod = 12 if extended else 9
         self.F = np.empty((nprod, m), dtype=np.complex128)
         self.buf = np.empty(grid.physical_shape)
         self.buf2 = np.empty(grid.physical_shape)
@@ -347,20 +353,14 @@ class _Stepper3D:
         for lat, pos in self.slabs:
             blk[pos] = r[lat]
 
-    def _fwd_cross(self, row: int, a: list, b: list, c: list | None = None,
-                   d: list | None = None) -> None:
-        """Rows row..row+2 of F: the transform of a x b, or of a x b - c x d."""
+    def _fwd_cross(self, row: int, a: list, b: list) -> None:
+        """Rows row..row+2 of F: the transform of a x b."""
         buf, buf2 = self.buf, self.buf2
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             np.multiply(a[j], b[k], out=buf)
             np.multiply(a[k], b[j], out=buf2)
             buf -= buf2
-            if c is not None:
-                np.multiply(c[j], d[k], out=buf2)
-                buf -= buf2
-                np.multiply(c[k], d[j], out=buf2)
-                buf += buf2
             self._fwd(row + i)
 
     def _curl(self, c: np.ndarray) -> np.ndarray:
@@ -405,7 +405,6 @@ class _Stepper3D:
     def nonlinear(self, uc, Bc, vc=None, with_maxes: bool = True):
         """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
         maxima propagate NaN (np.max, unlike Python max over components)."""
-        ik = self.ik
         F = self.F
         up = self.to_phys(uc)
         Bp = self.to_phys(Bc)
@@ -422,33 +421,20 @@ class _Stepper3D:
             self.buf -= self.buf2
             self._fwd(row)
         eps = self.params.eps
+        Ep = self.to_phys(uc - eps * self._curl(Bc))  # E = u - eps curl B
 
         if not self.extended:
-            # rows 6..8: (u - eps curl B) x B; its curl is dB/dt
-            Ep = self.to_phys(uc - eps * self._curl(Bc))
+            # rows 6..8: E x B; its curl is dB/dt
             self._fwd_cross(6, Ep, Bp)
             return self._force(), self._curl(F[6:9]), umax, bmax
 
-        # rows 6..14: F(v_i B_j), for curl(v x B) and v.grad B = div(B (x) v);
-        # rows 15..17: v x u - eps (curl v) x B
+        # rows 6..8: v x B, whose curl is dB/dt; rows 9..11: v x E, and
+        # dv/dt = P div T + curl(v x E - eps curl(v x B)) (module docstring)
         vp = self.to_phys(vc)
-        ew = self._curl(vc)
-        ew *= eps
-        wp = self.to_phys(ew)
-        row = 6
-        for i in range(3):
-            for j in range(3):
-                np.multiply(vp[i], Bp[j], out=self.buf)
-                self._fwd(row)
-                row += 1
-        self._fwd_cross(15, vp, up, wp, Bp)
-        P = F[6:15].reshape(3, 3, self.m)
-        vxB = np.stack([P[1, 2] - P[2, 1], P[2, 0] - P[0, 2], P[0, 1] - P[1, 0]])
-        NB = self._curl(vxB)
-        vgradB = np.stack([
-            ik[0] * P[0, j] + ik[1] * P[1, j] + ik[2] * P[2, j] for j in range(3)
-        ])
-        Nv = self._curl(F[15:18] + (2.0 * eps) * vgradB)
+        self._fwd_cross(6, vp, Bp)
+        self._fwd_cross(9, vp, Ep)
+        NB = self._curl(F[6:9])
+        Nv = self._curl(F[9:12] - eps * NB)
         force = self._force()
         Nv += force
         return force, NB, Nv, umax, bmax

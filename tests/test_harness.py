@@ -70,6 +70,7 @@ class TestConfig:
         "tol_energy_drift = -1e-6",
         "tol_e_residual = -1e-5",
         "tol_v_drift = -1e-6",
+        "snapshot_every = -0.005",
     ])
     def test_inconsistent_config_exit_2(self, tmp_path, line):
         cfgfile = tmp_path / "c.cfg"
@@ -464,3 +465,17 @@ class TestCli:
                        "--t-end", "0.02", "--out", str(tmp_path / "pp")])
         assert rc in (0, 1)  # short horizon: decay fraction may not be reached
         assert (tmp_path / "pp" / "summary.json").exists()
+
+    @pytest.mark.parametrize("lines", [("dt = 0.0003", "t_end = 0.0003"),
+                                       ("t_end = 0.0003", "dt = 0.0003")],
+                             ids=["dt-first", "t_end-first"])
+    def test_run_preset_with_config_validates_the_merge(self, tmp_path, lines):
+        # neither key alone fits the preset's dt = 1e-3, t_end = 1.0
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pc"
+        rc = cli.main(["run", "--preset", "small-data-2p5d", "--config", str(cfgfile),
+                       "--n", "16", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "0.0003"]

@@ -175,12 +175,17 @@ class TestStep:
         assert exc.value.dt_required < 0.5
 
     @staticmethod
-    def assert_matches_reference_composition(g3, formulation, params):
+    def assert_matches_reference_composition(g3, formulation, params, independent_v=False):
         """The compact stepper, with its regrouped products and pruned
         transforms, reproduces the step assembled from the full-lattice
-        nonlinear terms and the integrating factors, in every field."""
+        nonlinear terms and the integrating factors, in every field.
+        With independent_v, v is a solenoidal field of its own rather than
+        u - eps curl B, so the regrouping cannot lean on that redundancy."""
         extended = formulation == "extended"
         st = small_random_state(g3, amplitude=0.3, seed=11, extended=extended, params=params)
+        if independent_v:
+            w = random_field(g3, 1.0, 2.5, seed=13)
+            st = s3.SimState3D(st.t, st.u, st.B, w * (hs_norm(st.v, 0.0) / hs_norm(w, 0.0)))
         dt = 1e-3
         out = s3.step(st, params, StepControl(dt=dt, t_end=1))
         nonlinear = s3._nonlinear_extended if extended else s3._nonlinear_physical
@@ -201,13 +206,17 @@ class TestStep:
     def test_matches_reference_composition(self, g3):
         self.assert_matches_reference_composition(g3, "extended", P1)
 
-    @pytest.mark.parametrize("formulation, params", [
-        ("extended", PhysicalParams(0.8, 0.8, 0.0)),
-        ("physical", PhysicalParams(1.0, 0.7, 1.0)),
-        ("physical", PhysicalParams(1.0, 0.7, 0.0)),
-    ], ids=["extended-eps0", "physical-eps1", "physical-eps0"])
-    def test_matches_reference_composition_variants(self, g3, formulation, params):
-        self.assert_matches_reference_composition(g3, formulation, params)
+    @pytest.mark.parametrize("formulation, params, independent_v", [
+        ("extended", PhysicalParams(0.8, 0.8, 0.0), False),
+        ("physical", PhysicalParams(1.0, 0.7, 1.0), False),
+        ("physical", PhysicalParams(1.0, 0.7, 0.0), False),
+        ("extended", P1, True),
+        ("extended", PhysicalParams(1.0, 1.0, 0.3), True),
+    ], ids=["extended-eps0", "physical-eps1", "physical-eps0",
+            "extended-independent-v-eps1", "extended-independent-v-eps0.3"])
+    def test_matches_reference_composition_variants(self, g3, formulation, params,
+                                                    independent_v):
+        self.assert_matches_reference_composition(g3, formulation, params, independent_v)
 
 
 class TestBandTransforms:
@@ -241,7 +250,7 @@ class TestBandTransforms:
                 assert rel_err(sp.F[0], want_c) <= 1e-15
 
     @pytest.mark.parametrize("dim, extended, budget", [
-        (3, False, (9, 9)), (2, False, (9, 9)), (3, True, (18, 12)),
+        (3, False, (9, 9)), (2, False, (9, 9)), (3, True, (12, 12)),
     ])
     def test_transform_budget(self, monkeypatch, dim, extended, budget):
         """Forward and inverse scipy.fft calls per nonlinear evaluation:
