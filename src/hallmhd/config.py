@@ -64,6 +64,12 @@ class RunConfig:
                 raise ConfigError("the extended formulation is 3D only")
             if self.mu != self.nu:
                 raise ConfigError("the extended formulation requires mu = nu")
+        elif self.compute_budgets:
+            raise ConfigError("compute_budgets needs the extended formulation")
+        if self.dimension == 2.5 and self.filter_rho > 0:
+            raise ConfigError("filter_rho is 3D only")
+        if self.dimension == 3.0 and self.b_amplitude >= 0:
+            raise ConfigError("b_amplitude is 2.5D only (leave it negative in 3D)")
         if self.n < 8 or self.n % 2:
             raise ConfigError(f"n must be even and >= 8, got {self.n}")
         if self.mu <= 0 or self.nu <= 0:
@@ -76,6 +82,8 @@ class RunConfig:
             step_count(self.t_end, self.dt)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if not 0 < self.hall_cfl <= 1:

@@ -172,8 +172,9 @@ def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> d
     vxu = _lam(g, to_spectral(g, np.cross(vp, up, axis=0)), s)
     a7 = _ip(g, vxu, lcurlv)
 
-    # v.grad B = div(B (x) v) for solenoidal v, as in the reference
-    # rhs_extended (the stepper folds this term into v x E and curl(v x B))
+    # v.grad B = div(B (x) v) for solenoidal v, as in the full-lattice
+    # reference of tests/oracle3d.py (the stepper folds this term into
+    # v x E and curl(v x B))
     P = to_spectral(g, np.stack([vp[i] * Bp[j] for i in range(3) for j in range(3)]))
     P = P.reshape((3, 3) + g.spectral_shape)
     vgradB = np.stack([sum(1j * g.kvec[k] * P[k, j] for k in range(3)) for j in range(3)])

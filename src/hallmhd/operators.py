@@ -164,10 +164,6 @@ def laplacian(f: SpectralField) -> SpectralField:
     return f.with_coeffs(f.c * (-f.grid.k2))
 
 
-def laplacian_scalar(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    return c * (-grid.k2)
-
-
 # lattice rescaling ------------------------------------------------------
 
 def dilate(f: SpectralField, lam: int) -> SpectralField:

@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .grid import GridSpec
 from .norms import hs_norm, inhomogeneous_hs_norm
-from .operators import band_filter
+from .operators import band_filter, curl2
 from .params import CFLError, PhysicalParams, StepControl, required_dt, step_count
 from .snapshots import write_snapshot
 
@@ -60,7 +60,7 @@ def build_initial(cfg: RunConfig, grid: GridSpec, params: PhysicalParams) -> s3.
         u0, B0 = s3.make_initial(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
                                  lo=cfg.band_lo, hi=cfg.band_hi)
     else:
-        b_amp = cfg.b_amplitude if cfg.b_amplitude > 0 else None
+        b_amp = cfg.b_amplitude if cfg.b_amplitude >= 0 else None
         u0, B0 = s25.make_initial_25d(grid, cfg.init_kind, cfg.amplitude, seed=cfg.seed,
                                       b_amplitude=b_amp, lo=cfg.band_lo, hi=cfg.band_hi)
     return s3.make_state(u0, B0, params, extended=(cfg.formulation == "extended"))
@@ -265,7 +265,7 @@ class _Monitor3D:
             den = sp.sum_hs2(session.fields[2], 0.0)
             drift = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
         row["v_drift"] = drift
-        if self.cfg.compute_budgets and extended:
+        if self.cfg.compute_budgets:  # validate() requires the extended formulation
             bt = budget_terms(st, params, 0.5)
             self.budget_rows.append(bt)
             row.update({f"a{i}": bt[f"a{i}"] for i in range(1, 9)})
@@ -341,15 +341,14 @@ class _Monitor25D:
         return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
                 s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
 
-    def sample(self, istep: int, st3: s3.SimState3D, prev3: s3.SimState3D | None,
+    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
                before: tuple | None) -> dict:
-        """`prev3` is the state at the previous sample, `before` the
+        """`prev` is the state at the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
         params = self.params
-        st = s25.make_state_25d(st3.u, st3.B, params, t=st3.t)
         u, B = st.u, st.B
-        v = u - params.eps * st.j
+        v = u - params.eps * curl2(B)
         l2_u, nab_u, nab2_u = (hs_norm(u, s) for s in (0.0, 1.0, 2.0))
         nab_B, lap_B = hs_norm(B, 1.0), hs_norm(B, 2.0)
         row = {
@@ -363,22 +362,20 @@ class _Monitor25D:
             "h1u2": nab_u**2, "h1b2": nab_B**2,
             "bh1_2": inhomogeneous_hs_norm(B, 1.0) ** 2,
             "nabB_h1_2": nab_B**2 + lap_B**2, "nabB": nab_B, "lapB2": lap_B**2,
-            "om2": hs_norm(st.omega, 0.0) ** 2,
+            "om2": hs_norm(curl2(u), 0.0) ** 2,
             "w_weight": l2_u**2 * nab_u**2 + nab_u * nab2_u,
         }
         phys = s25.physical_uB(st)
         e_res = 0.0
         if self.e_law:
             terms = s25.E_law_terms(st, params, phys[0])
-            if prev3 is not None:
+            if prev is not None:
                 if before is not None:
                     t0, (uc, Bc) = before
                     sp = self.session.sp
-                    prev = s25.make_state_25d(sp.scatter_field(uc), sp.scatter_field(Bc),
-                                              params, t=t0)
+                    prev = s3.SimState3D(t0, sp.scatter_field(uc), sp.scatter_field(Bc))
                     prev_terms = s25.E_law_terms(prev, params)
                 else:
-                    prev = s25.make_state_25d(prev3.u, prev3.B, params, t=prev3.t)
                     prev_terms = self.terms
                 e_res = s25.E_residual(prev, st, params, st.t - prev.t,
                                        terms=(prev_terms, terms))

@@ -6,15 +6,16 @@ System (all products dealiased, tilde = two-variable operators):
     dB/dt = -u~.grad~ B - eps B~.grad~ j + eps j~.grad~ B
             + B~.grad~ u + nu lap~ B,       j = curl~ B
 
-with the current j, vorticity omega = curl~ u and the combined field
-E = eps omega + B derived from the state on demand.  When mu = nu, E
+with the current j = curl~ B, vorticity omega = curl~ u and the combined
+field E = eps omega + B formed where they are used.  When mu = nu, E
 satisfies the pure advection-diffusion equation dE/dt = E~.grad~ u -
 u~.grad~ E + mu lap~ E, which E_residual certifies on consecutive
 snapshots.
 
 The system is the 3D physical formulation restricted to x3-independent
-fields, so the RHS and the step run on solver3d's compact-band stepper
-over the 2D lattice (third wavevector zero).  The certificates here
+fields, so a 2.5D state is a physical-formulation solver3d.SimState3D
+on the 2D lattice, and the RHS and the step run on solver3d's
+compact-band stepper there (third wavevector zero).  The certificates here
 (rewritten_B_rhs, E_residual, identity_suite) evaluate the 2.5D forms
 independently on the full lattice.
 
@@ -31,8 +32,6 @@ batching changes no bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import solver3d as s3
@@ -44,7 +43,6 @@ from .params import PhysicalParams, StepControl
 from .sampling import random_field
 
 __all__ = [
-    "SimState25D",
     "make_state_25d",
     "make_initial_25d",
     "rhs_25d",
@@ -57,35 +55,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimState25D:
-    """Evolved (u, B) at time t; j, omega and E are derived on demand."""
-
-    t: float
-    u: SpectralField
-    B: SpectralField
-    eps: float
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u.grid
-
-    @property
-    def j(self) -> SpectralField:
-        return curl2(self.B)
-
-    @property
-    def omega(self) -> SpectralField:
-        return curl2(self.u)
-
-    @property
-    def E(self) -> SpectralField:
-        return self.eps * self.omega + self.B
-
-
 def make_state_25d(u: SpectralField, B: SpectralField, params: PhysicalParams,
-                   t: float = 0.0) -> SimState25D:
-    return SimState25D(t=t, u=u, B=B, eps=params.eps)
+                   t: float = 0.0) -> s3.SimState3D:
+    """A 2.5D state: the physical-formulation state on the 2D lattice."""
+    return s3.make_state(u, B, params, t=t)
 
 
 def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
@@ -97,7 +70,7 @@ def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
     return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
-def _nonlinear_25d(state: SimState25D, params: PhysicalParams):
+def _nonlinear_25d(state: s3.SimState3D, params: PhysicalParams):
     """Dealiased nonlinear (du/dt, dB/dt) without diffusion, from the
     compact-band stepper on the 2D lattice (the nonlinearity does not
     depend on dt, so the workspace is built with dt = 0)."""
@@ -106,7 +79,7 @@ def _nonlinear_25d(state: SimState25D, params: PhysicalParams):
     return sp.scatter_field(du), sp.scatter_field(dB)
 
 
-def rhs_25d(state: SimState25D, params: PhysicalParams) -> tuple[SpectralField, SpectralField]:
+def rhs_25d(state: s3.SimState3D, params: PhysicalParams) -> tuple[SpectralField, SpectralField]:
     """Full (du/dt, dB/dt) of the 2.5D system."""
     du, dB = _nonlinear_25d(state, params)
     k2 = state.grid.k2
@@ -116,13 +89,13 @@ def rhs_25d(state: SimState25D, params: PhysicalParams) -> tuple[SpectralField, 
     )
 
 
-def physical_uB(state: SimState25D) -> np.ndarray:
+def physical_uB(state: s3.SimState3D) -> np.ndarray:
     """Physical u and B of a state as one (2, 3, n, n) array (one batched
     inverse transform)."""
     return to_physical(state.grid, np.stack([state.u.c, state.B.c]))
 
 
-def rewritten_B_rhs(state: SimState25D, params: PhysicalParams,
+def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,
                     phys: np.ndarray | None = None) -> SpectralField:
     """dB/dt evaluated from the curl-identity rewriting
 
@@ -136,7 +109,7 @@ def rewritten_B_rhs(state: SimState25D, params: PhysicalParams,
     mask = g.dealias_mask
     eps = params.eps
     up, Bp = physical_uB(state) if phys is None else phys
-    jp, lapBp = to_physical(g, np.stack([state.j.c, -g.k2 * state.B.c]))
+    jp, lapBp = to_physical(g, np.stack([curl2(state.B).c, -g.k2 * state.B.c]))
 
     lapBxB = to_spectral(g, np.cross(lapBp, Bp, axis=0))
     jdotB = to_spectral(g, np.sum(jp * Bp, axis=0))
@@ -151,20 +124,20 @@ def rewritten_B_rhs(state: SimState25D, params: PhysicalParams,
     return SpectralField(g, c, is_divfree=True)
 
 
-def step_25d(state: SimState25D, params: PhysicalParams, control: StepControl) -> SimState25D:
+def step_25d(state: s3.SimState3D, params: PhysicalParams,
+             control: StepControl) -> s3.SimState3D:
     """Integrating-factor Heun step for the 2.5D system (solver3d.step on
     the 2D lattice); modes outside the two-thirds band are dropped."""
-    st = s3.step(s3.SimState3D(state.t, state.u, state.B), params, control)
-    return make_state_25d(st.u, st.B, params, t=st.t)
+    return s3.step(state, params, control)
 
 
-def E_law_terms(state: SimState25D, params: PhysicalParams,
+def E_law_terms(state: s3.SimState3D, params: PhysicalParams,
                 up: np.ndarray | None = None) -> tuple[SpectralField, np.ndarray]:
     """(E, E~.grad~ u - u~.grad~ E + mu lap~ E) of one state: the combined
     field and the spatial side of its law, dealiased.  `up` is the
     state's physical u when the caller has it."""
     g = state.grid
-    E = state.E
+    E = params.eps * curl2(state.u) + state.B
     Ep = to_physical(g, E.c)
     if up is None:
         up = to_physical(g, state.u.c)
@@ -172,7 +145,7 @@ def E_law_terms(state: SimState25D, params: PhysicalParams,
     return E, adv * g.dealias_mask - params.mu * g.k2 * E.c
 
 
-def E_residual(before: SimState25D, after: SimState25D, params: PhysicalParams,
+def E_residual(before: s3.SimState3D, after: s3.SimState3D, params: PhysicalParams,
                dt: float, terms: tuple | None = None) -> float:
     """Normalized residual of the combined-field advection-diffusion law
     on two consecutive snapshots (centered time difference, midpoint

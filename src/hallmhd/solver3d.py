@@ -14,14 +14,14 @@ Two formulations share one integrating-factor Heun stepper:
 
 Quadratic terms are formed by collocation in physical space and
 dealiased by the two-thirds rule; the pressure gradient is eliminated
-by the Leray projector and is recoverable on demand from the Poisson
-equation -lap pi = div(u.grad u - B.grad B).
+by the Leray projector.
 
-The reference right-hand sides (rhs_physical, rhs_extended, hall_term)
-follow the equations term by term on the full lattice.  The stepper
-regroups them.  Under the two-thirds rule the band coefficients of a
-product of band-limited fields are exact, so pointwise vector
-identities carry over to the band.  With div B = 0,
+The stepper below is the library's only RHS.  Full-lattice references
+that follow the equations term by term live in tests/oracle3d.py, and
+the tests hold the stepper to them.  The stepper regroups the terms.
+Under the two-thirds rule the band coefficients of a product of
+band-limited fields are exact, so pointwise vector identities carry
+over to the band.  With div B = 0,
 (curl B) x B = div(B (x) B) - grad |B|^2/2, so on the band
 P[(curl B) x B] = P div(B (x) B).  With div v = div B = 0 as well,
 curl(v x B) = B.grad v - v.grad B, and grad(v.B) = v.grad B + B.grad v
@@ -56,29 +56,11 @@ import scipy.fft as sfft
 from .fields import SpectralField
 from .grid import GridSpec
 from .norms import hs_norm
-from .operators import (
-    band_filter,
-    curl3,
-    dilate,
-    k2_power,
-    leray_project,
-    to_physical,
-    to_spectral,
-)
+from .operators import curl3, k2_power
 from .params import CFLError, PhysicalParams, StepControl, required_dt
 from .sampling import random_field
 
-__all__ = [
-    "SimState3D",
-    "rhs_physical",
-    "rhs_extended",
-    "hall_term",
-    "step",
-    "make_initial",
-    "make_state",
-    "scaling_covariance_check",
-    "pressure_field",
-]
+__all__ = ["SimState3D", "step", "make_initial", "make_state"]
 
 _SYM = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -112,119 +94,6 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
     return SimState3D(t=t, u=u, B=B, v=v)
 
 
-def _check_finite(arrs: dict[str, np.ndarray]) -> None:
-    for name, a in arrs.items():
-        if not np.all(np.isfinite(a)):
-            raise FloatingPointError(f"non-finite values in term {name!r}")
-
-
-def _nonlinear_physical(state: SimState3D, params: PhysicalParams):
-    """Dealiased nonlinear RHS of the physical formulation (no diffusion),
-    plus the physical-space amplitude maxima used by the CFL guard."""
-    g = state.grid
-    ik = [1j * k for k in g.kvec]
-    mask = g.dealias_mask
-
-    up = to_physical(g, state.u.c)
-    Bp = to_physical(g, state.B.c)
-    J = curl3(state.B)
-    Jp = to_physical(g, J.c)
-
-    umax = float(np.abs(up).max())
-    bmax = float(np.abs(Bp).max())
-
-    # (curl B) x B, shared by the Lorentz force and the Hall term
-    jxb = to_spectral(g, np.cross(Jp, Bp, axis=0))
-    # u.grad u = div(u (x) u) for divergence-free u
-    uu = to_spectral(g, np.stack([up[i] * up[j] for i, j in _SYM]))
-    adv = np.empty_like(state.u.c)
-    T = {ij: uu[m] for m, ij in enumerate(_SYM)}
-    for i in range(3):
-        adv[i] = sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
-    du = leray_project(SpectralField(g, (jxb - adv) * mask))
-
-    uxb = to_spectral(g, np.cross(up, Bp, axis=0))
-    dB = curl3(SpectralField(g, (uxb - params.eps * jxb) * mask))
-
-    _check_finite({"u rhs": du.c, "B rhs": dB.c})
-    return du, dB, umax, bmax
-
-
-def rhs_physical(state: SimState3D, params: PhysicalParams) -> tuple[SpectralField, SpectralField]:
-    """Full time derivative (du/dt, dB/dt) of the physical formulation."""
-    du, dB, _, _ = _nonlinear_physical(state, params)
-    return (
-        du.with_coeffs(du.c - params.mu * state.grid.k2 * state.u.c),
-        dB.with_coeffs(dB.c - params.nu * state.grid.k2 * state.B.c),
-    )
-
-
-def hall_term(B: SpectralField, eps: float) -> SpectralField:
-    """eps curl((curl B) x B), the Hall contribution to dB/dt (with sign
-    as it appears on the left of the induction equation)."""
-    g = B.grid
-    Jp = to_physical(g, curl3(B).c)
-    Bp = to_physical(g, B.c)
-    jxb = to_spectral(g, np.cross(Jp, Bp, axis=0))
-    return curl3(SpectralField(g, eps * jxb * g.dealias_mask))
-
-
-def _nonlinear_extended(state: SimState3D, params: PhysicalParams):
-    """Dealiased nonlinear RHS of the extended formulation."""
-    g = state.grid
-    ik = [1j * k for k in g.kvec]
-    mask = g.dealias_mask
-    eps = params.eps
-
-    up = to_physical(g, state.u.c)
-    Bp = to_physical(g, state.B.c)
-    vp = to_physical(g, state.v.c)
-    w = curl3(state.v)
-    wp = to_physical(g, w.c)
-
-    umax = float(np.abs(up).max())
-    bmax = float(np.abs(Bp).max())
-
-    # T = B (x) B - u (x) u drives both du/dt and dv/dt through P div T
-    T6 = to_spectral(g, np.stack([Bp[i] * Bp[j] - up[i] * up[j] for i, j in _SYM]))
-    T = {ij: T6[m] for m, ij in enumerate(_SYM)}
-    force = np.empty_like(state.u.c)
-    for i in range(3):
-        force[i] = sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
-    force = leray_project(SpectralField(g, force * mask))
-
-    # P[i, j] = F(v_i B_j) serves curl(v x B) and v.grad B = div(B (x) v)
-    P = to_spectral(g, np.stack([vp[i] * Bp[j] for i in range(3) for j in range(3)]))
-    P = P.reshape((3, 3) + g.spectral_shape)
-    vxB = np.stack([P[1, 2] - P[2, 1], P[2, 0] - P[0, 2], P[0, 1] - P[1, 0]])
-    dB = curl3(SpectralField(g, vxB * mask))
-
-    wxB = to_spectral(g, np.cross(wp, Bp, axis=0))
-    vxu = to_spectral(g, np.cross(vp, up, axis=0))
-    vgradB = np.stack([sum(ik[k] * P[k, j] for k in range(3)) for j in range(3)])
-
-    dv_c = (-eps * wxB + vxu + 2.0 * eps * vgradB) * mask
-    dv = curl3(SpectralField(g, dv_c))
-    dv = dv.with_coeffs(dv.c + force.c, is_divfree=True)
-
-    _check_finite({"u rhs": force.c, "B rhs": dB.c, "v rhs": dv.c})
-    return force, dB, dv, umax, bmax
-
-
-def rhs_extended(state: SimState3D, params: PhysicalParams):
-    """Full time derivative (du/dt, dB/dt, dv/dt) of the extended system."""
-    params.require_equal_viscosities("rhs_extended")
-    if state.v is None:
-        raise ValueError("extended RHS needs a state carrying v")
-    du, dB, dv, _, _ = _nonlinear_extended(state, params)
-    k2 = state.grid.k2
-    return (
-        du.with_coeffs(du.c - params.mu * k2 * state.u.c),
-        dB.with_coeffs(dB.c - params.mu * k2 * state.B.c),
-        dv.with_coeffs(dv.c - params.mu * k2 * state.v.c),
-    )
-
-
 # time stepping ---------------------------------------------------------
 #
 # The stepper works on the compacted dealias band: evolved states carry
@@ -233,8 +102,8 @@ def rhs_extended(state: SimState3D, params: PhysicalParams):
 # transforms read and write only band lines, which doubles as the
 # dealiasing step, and the quadratic terms are regrouped on the band (see
 # the module docstring: 18 transforms per physical RHS, 24 per extended).
-# The public rhs_* functions above stay the readable reference; step()
-# is tested to reproduce them.
+# The full-lattice references in tests/oracle3d.py stay the readable
+# form; step() is tested to reproduce them.
 #
 # On a 2D grid the same stepper advances the 2.5D system: the 2.5D flow is
 # the 3D physical formulation restricted to x3-independent fields, i.e.
@@ -594,62 +463,3 @@ def make_initial(grid: GridSpec, kind: str, amplitude: float, seed: int | None =
             B0 * (amplitude / nb0 if nb0 > 0 else 0.0),
         )
     raise ValueError(f"unknown initial-data kind {kind!r}")
-
-
-# pressure recovery and scaling ------------------------------------------
-
-def pressure_field(state: SimState3D, params: PhysicalParams) -> np.ndarray:
-    """Scalar pressure from -lap pi = div(u.grad u - B.grad B); returned as
-    spectral coefficients (mean zero)."""
-    g = state.grid
-    up = to_physical(g, state.u.c)
-    Bp = to_physical(g, state.B.c)
-    N6 = to_spectral(g, np.stack([up[i] * up[j] - Bp[i] * Bp[j] for i, j in _SYM]))
-    N = {ij: N6[m] for m, ij in enumerate(_SYM)}
-    divdiv = np.zeros(g.spectral_shape, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            divdiv += -g.kvec[i] * g.kvec[j] * N[(min(i, j), max(i, j))] * g.dealias_mask
-    return divdiv * g.inv_k2
-
-
-def scaling_covariance_check(u: SpectralField, B: SpectralField, lam: int,
-                             params: PhysicalParams) -> dict[str, float]:
-    """Relative residuals of the velocity-type rescaling covariance.
-
-    With S f = lam * f(lam x), (a) the eps = 0 RHS satisfies
-    rhs(S u, S B) = lam^3 (rhs(u, B))(lam x), and (b) the Hall operator
-    (J, B) -> eps curl(J x B) is covariant when J and B are BOTH scaled
-    like the velocity (the current treated as an independent unknown).
-    """
-    if int(lam) != lam or lam < 1:
-        raise ValueError(f"lambda must be a positive integer, got {lam}")
-    lam = int(lam)
-    g = u.grid
-    representable = (g.n // 2 - 1) / lam
-
-    def scaled(f: SpectralField) -> SpectralField:
-        # drop roundoff-level content that a dilation could not represent
-        return lam * dilate(band_filter(f, 0.0, representable), lam)
-
-    def rel(a: SpectralField, b: SpectralField) -> float:
-        scale = max(float(np.abs(b.c).max()), 1e-300)
-        return float(np.abs(a.c - b.c).max()) / scale
-
-    mhd = PhysicalParams(params.mu, params.nu, 0.0)
-    st = SimState3D(0.0, u, B)
-    du, dB = rhs_physical(st, mhd)
-    st_s = SimState3D(0.0, scaled(u), scaled(B))
-    du_s, dB_s = rhs_physical(st_s, mhd)
-    # lam^3 f(lam x) = lam^2 * S f
-    res_mhd = max(rel(du_s, lam**2 * scaled(du)), rel(dB_s, lam**2 * scaled(dB)))
-
-    def hall_pair(J: SpectralField, Bf: SpectralField) -> SpectralField:
-        gg = J.grid
-        Jp = to_physical(gg, J.c)
-        Bp = to_physical(gg, Bf.c)
-        return curl3(SpectralField(gg, params.eps * to_spectral(gg, np.cross(Jp, Bp, axis=0)) * gg.dealias_mask))
-
-    J = curl3(B)
-    res_hall = rel(hall_pair(scaled(J), scaled(B)), lam**2 * scaled(hall_pair(J, B)))
-    return {"mhd": res_mhd, "hall_pair": res_hall}

@@ -1,6 +1,8 @@
 """The benchmark's tracer (bench/child.py) wraps library names where their
 callers look them up.  Each of those names must keep existing, the wraps
-must sit on a run's call path, and restore() must put the originals back."""
+must sit on a run's call path, and restore() must put the originals back.
+The benchmark's set-up and micro paths call the library too and must keep
+running."""
 
 import importlib.util
 from pathlib import Path
@@ -49,3 +51,20 @@ def test_tracer_hooks_exist_and_restore(monkeypatch, tmp_path):
     assert {"fft.r2c", "fft.c2r", "solver3d.step", "solver3d.rhs", "solver3d.hs2",
             "solver25d.rhs", "solver25d.certify", "norms.hs_norm",
             "diagnostics.monitor", "snapshots.write"} <= seen
+
+
+def test_setup_and_micro_paths_run(monkeypatch, tmp_path):
+    child = _load_child(monkeypatch)
+    spec = dict(n=16, amplitude=0.05, seed=0, lo=1.0, hi=2.0, dt=1e-3)
+    grid, _, _, stepper = child._setup(dict(spec, dim=3, extended=True))
+    assert grid.dim == 3 and stepper.extended
+    grid, _, _ = child._setup(dict(spec, dim=2.5, extended=False))
+    assert grid.dim == 2
+
+    def once(fn):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(child, "_median_ms", once)
+    res = child.micro(0, tmp_path)
+    assert res["pass"] and len(res["micro"]) == 14

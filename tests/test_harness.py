@@ -71,6 +71,11 @@ class TestConfig:
         "tol_e_residual = -1e-5",
         "tol_v_drift = -1e-6",
         "snapshot_every = -0.005",
+        "seed = -1",
+        # settings a run would silently ignore
+        "compute_budgets = true",          # with the physical formulation
+        "dimension = 2.5\nfilter_rho = 2.0",
+        "b_amplitude = 0.0",               # in 3D
     ])
     def test_inconsistent_config_exit_2(self, tmp_path, line):
         cfgfile = tmp_path / "c.cfg"
@@ -166,6 +171,14 @@ class TestRunner:
         assert s["e_residual_max"] <= cfg.tol_e_residual
         assert s["rewritten_res_max"] <= 1e-11
         assert np.isfinite(s["c611_fit"]) and np.isfinite(s["c615_fit"])
+
+    def test_25d_zero_b_amplitude_gives_zero_B(self, tmp_path):
+        """Only a negative b_amplitude falls back to `amplitude`."""
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.01, sample_every=5,
+                        amplitude=0.05, b_amplitude=0.0, seed=3)
+        res = run(cfg, out_dir=tmp_path / "b0")
+        assert res.records[0].l2_b == 0.0 and res.records[0].l2_u > 0.0
+        assert res.passed
 
     def test_25d_e_residual_across_last_step(self, tmp_path):
         """With samples 10 steps apart the combined-field law is still

@@ -8,11 +8,13 @@ import pytest
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
+from hallmhd.operators import curl2
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd import solver25d as s25
 from hallmhd import solver3d as s3
 from hallmhd.sampling import random_field, random_scalar
 
+import oracle3d
 from conftest import rel_err
 
 P1 = PhysicalParams(1.0, 1.0, 1.0)
@@ -96,7 +98,7 @@ class TestLiftTo3D:
     def test_rhs_matches_3d_reference(self, params):
         u0, B0 = s25.make_initial_25d(self.G2, "random_band", 0.3, seed=51)
         du2, dB2 = s25.rhs_25d(s25.make_state_25d(u0, B0, params), params)
-        du3, dB3 = s3.rhs_physical(s3.SimState3D(0.0, self.lift(u0), self.lift(B0)), params)
+        du3, dB3 = oracle3d.rhs_physical(s3.SimState3D(0.0, self.lift(u0), self.lift(B0)), params)
         assert self.slice_err(du3, du2) < 1e-13
         assert self.slice_err(dB3, dB2) < 1e-13
 
@@ -255,7 +257,7 @@ class TestFittedConstantStability:
             ctrl = StepControl(dt=5e-4, t_end=1.0)
             rows = []
             for _ in range(100):
-                v = st.u - params.eps * st.j
+                v = st.u - params.eps * curl2(st.B)
                 rows.append((st.t, hs_norm(v, 0.0) ** 2, hs_norm(v, 1.0) ** 2,
                              hs_norm(st.u, 0.0) ** 2 + hs_norm(st.B, 0.0) ** 2 + hs_norm(v, 0.0) ** 2,
                              hs_norm(st.u, 1.0) ** 2 + hs_norm(st.B, 1.0) ** 2 + hs_norm(v, 1.0) ** 2))

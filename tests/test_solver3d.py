@@ -1,4 +1,5 @@
-"""3D solver: RHS structure, stepping accuracy, scaling covariance."""
+"""3D solver: the structure of the full-lattice reference RHS (oracle3d),
+the stepper against it, stepping accuracy, scaling covariance."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import scipy.fft
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
-from hallmhd.operators import curl3, laplacian_scalar, leray_project, to_physical, to_spectral
+from hallmhd.operators import curl3, leray_project, to_physical, to_spectral
 from hallmhd.params import CFLError, PhysicalParams, StepControl
 from hallmhd import solver3d as s3
 from hallmhd.sampling import random_field
 
+import oracle3d
 from conftest import rel_err
 
 P1 = PhysicalParams(1.0, 1.0, 1.0)
@@ -25,29 +27,29 @@ def small_random_state(grid, amplitude=0.3, seed=12, extended=False, params=P1):
 class TestRhsPhysical:
     def test_zero_state(self, g3):
         st = s3.make_state(SpectralField.zeros(g3), SpectralField.zeros(g3), P1)
-        du, dB = s3.rhs_physical(st, P1)
+        du, dB = oracle3d.rhs_physical(st, P1)
         assert np.abs(du.c).max() == 0.0 and np.abs(dB.c).max() == 0.0
 
     def test_beltrami_pure_decay(self, g3):
         u0, B0 = s3.make_initial(g3, "beltrami", 0.2)
         st = s3.make_state(u0, B0, P1)
-        du, dB = s3.rhs_physical(st, P1)
+        du, dB = oracle3d.rhs_physical(st, P1)
         assert np.abs(du.c).max() <= 1e-14
         assert rel_err(dB.c, -P1.nu * B0.c) < 1e-12
 
     def test_eps_zero_reduces_to_mhd(self, g3):
         st = small_random_state(g3)
         pm = PhysicalParams(1.0, 1.0, 0.0)
-        du1, dB1 = s3.rhs_physical(st, P1)
-        du0, dB0 = s3.rhs_physical(st, pm)
+        du1, dB1 = oracle3d.rhs_physical(st, P1)
+        du0, dB0 = oracle3d.rhs_physical(st, pm)
         # velocity equation identical; induction differs exactly by the Hall term
         assert np.abs(du1.c - du0.c).max() <= 1e-14 * np.abs(du0.c).max()
-        ht = s3.hall_term(st.B, 1.0)
+        ht = oracle3d.hall_term(st.B, 1.0)
         assert rel_err(dB1.c - dB0.c, -ht.c) < 1e-12
 
     def test_outputs_divergence_free(self, g3):
         st = small_random_state(g3, seed=3)
-        du, dB = s3.rhs_physical(st, P1)
+        du, dB = oracle3d.rhs_physical(st, P1)
         assert du.divergence_residual() < 1e-12
         assert dB.divergence_residual() < 1e-12
 
@@ -55,43 +57,43 @@ class TestRhsPhysical:
 class TestHallTerm:
     def test_beltrami_vanishes(self, g3):
         _, B0 = s3.make_initial(g3, "beltrami", 0.5)
-        assert np.abs(s3.hall_term(B0, 1.0).c).max() <= 1e-12 * np.abs(B0.c).max()
+        assert np.abs(oracle3d.hall_term(B0, 1.0).c).max() <= 1e-12 * np.abs(B0.c).max()
 
     def test_zero_field_and_zero_eps(self, g3):
         z = SpectralField.zeros(g3)
-        assert np.abs(s3.hall_term(z, 1.0).c).max() == 0.0
+        assert np.abs(oracle3d.hall_term(z, 1.0).c).max() == 0.0
         B = random_field(g3, 1, 4, seed=5)
-        assert np.abs(s3.hall_term(B, 0.0).c).max() == 0.0
+        assert np.abs(oracle3d.hall_term(B, 0.0).c).max() == 0.0
 
 
 class TestRhsExtended:
     def test_zero_state(self, g3):
         st = s3.make_state(SpectralField.zeros(g3), SpectralField.zeros(g3), P1, extended=True)
-        for d in s3.rhs_extended(st, P1):
+        for d in oracle3d.rhs_extended(st, P1):
             assert np.abs(d.c).max() == 0.0
 
     def test_mu_ne_nu_rejected(self, g3):
         st = small_random_state(g3, extended=True)
         with pytest.raises(ValueError):
-            s3.rhs_extended(st, PhysicalParams(1.0, 2.0, 1.0))
+            oracle3d.rhs_extended(st, PhysicalParams(1.0, 2.0, 1.0))
 
     def test_missing_v_rejected(self, g3):
         st = small_random_state(g3)
         with pytest.raises(ValueError):
-            s3.rhs_extended(st, P1)
+            oracle3d.rhs_extended(st, P1)
 
     def test_algebraic_redundancy(self, g3):
         """With v = u - eps curl B exactly, the three equations satisfy
         dv/dt = du/dt - eps curl(dB/dt) to roundoff."""
         st = small_random_state(g3, extended=True)
-        du, dB, dv = s3.rhs_extended(st, P1)
+        du, dB, dv = oracle3d.rhs_extended(st, P1)
         target = du.c - P1.eps * curl3(dB).c
         assert rel_err(dv.c, target) < 1e-10
 
     def test_matches_physical_formulation(self, g3):
         st = small_random_state(g3, extended=True, seed=21)
-        du_e, dB_e, _ = s3.rhs_extended(st, P1)
-        du_p, dB_p = s3.rhs_physical(s3.SimState3D(0.0, st.u, st.B), P1)
+        du_e, dB_e, _ = oracle3d.rhs_extended(st, P1)
+        du_p, dB_p = oracle3d.rhs_physical(s3.SimState3D(0.0, st.u, st.B), P1)
         assert rel_err(du_e.c, du_p.c) < 1e-12
         assert rel_err(dB_e.c, dB_p.c) < 1e-12
 
@@ -102,9 +104,9 @@ class TestRhsExtended:
         p0 = PhysicalParams(1.0, 1.0, 0.0)
         p1 = PhysicalParams(1.0, 1.0, 1.0)
         p2 = PhysicalParams(1.0, 1.0, 2.0)
-        du0, dB0, dv0 = s3.rhs_extended(st, p0)
-        du1, dB1, dv1 = s3.rhs_extended(st, p1)
-        du2, dB2, dv2 = s3.rhs_extended(st, p2)
+        du0, dB0, dv0 = oracle3d.rhs_extended(st, p0)
+        du1, dB1, dv1 = oracle3d.rhs_extended(st, p1)
+        du2, dB2, dv2 = oracle3d.rhs_extended(st, p2)
         assert rel_err(du1.c, du0.c) < 1e-14 and rel_err(dB1.c, dB0.c) < 1e-14
         assert rel_err(dv2.c - dv0.c, 2.0 * (dv1.c - dv0.c)) < 1e-12
 
@@ -113,7 +115,7 @@ class TestRhsExtended:
         st = s3.make_state(u0, B0, P1, extended=True)
         # v = -eps * B for the curl eigenfield
         assert rel_err(st.v.c, -P1.eps * B0.c) < 1e-13
-        _, _, dv = s3.rhs_extended(st, P1)
+        _, _, dv = oracle3d.rhs_extended(st, P1)
         assert rel_err(dv.c, -P1.mu * st.v.c) < 1e-12
 
 
@@ -188,16 +190,16 @@ class TestStep:
             st = s3.SimState3D(st.t, st.u, st.B, w * (hs_norm(st.v, 0.0) / hs_norm(w, 0.0)))
         dt = 1e-3
         out = s3.step(st, params, StepControl(dt=dt, t_end=1))
-        nonlinear = s3._nonlinear_extended if extended else s3._nonlinear_physical
+        nonlinear = oracle3d.nonlinear_extended if extended else oracle3d.nonlinear_physical
         Eu = np.exp(-params.mu * g3.k2 * dt)
         Eb = np.exp(-params.nu * g3.k2 * dt)
         names = ("u", "B", "v") if extended else ("u", "B")
         E = (Eu, Eb, Eu)
         f0 = [getattr(st, name).c for name in names]
-        n1 = [d.c for d in nonlinear(st, params)[:len(names)]]
+        n1 = [d.c for d in nonlinear(st, params)]
         mid = s3.SimState3D(st.t + dt, *(SpectralField(g3, e * (f + dt * a))
                                          for e, f, a in zip(E, f0, n1)))
-        n2 = [d.c for d in nonlinear(mid, params)[:len(names)]]
+        n2 = [d.c for d in nonlinear(mid, params)]
         for name, e, f, a, b in zip(names, E, f0, n1, n2):
             ref = leray_project(SpectralField(g3, e * f + 0.5 * dt * (e * a + b))).c
             ref[:, 0, 0, 0] = 0.0
@@ -309,37 +311,18 @@ class TestScalingCovariance:
     def test_lambda_one_trivial(self, g3_32):
         u = random_field(g3_32, 1, 2.4, seed=1) * 0.2
         B = random_field(g3_32, 1, 2.4, seed=2) * 0.2
-        res = s3.scaling_covariance_check(u, B, 1, P1)
+        res = oracle3d.scaling_covariance_check(u, B, 1, P1)
         assert max(res.values()) < 1e-12
 
     def test_mhd_and_hall_pair_covariance(self, g3_32):
         u = random_field(g3_32, 1, 2.4, seed=3) * 0.2
         B = random_field(g3_32, 1, 2.4, seed=4) * 0.2
-        res = s3.scaling_covariance_check(u, B, 2, P1)
+        res = oracle3d.scaling_covariance_check(u, B, 2, P1)
         assert res["mhd"] <= 1e-11
         assert res["hall_pair"] <= 1e-11
 
     def test_non_integer_lambda(self, g3_32):
         u = random_field(g3_32, 1, 2.0, seed=5)
         with pytest.raises(ValueError):
-            s3.scaling_covariance_check(u, u, 1.5, P1)
+            oracle3d.scaling_covariance_check(u, u, 1.5, P1)
 
-
-class TestPressure:
-    def test_poisson_residual(self, g3):
-        st = small_random_state(g3, amplitude=0.5, seed=14)
-        pi = s3.pressure_field(st, P1)
-        # -lap pi must equal div(u.grad u - B.grad B) with dealiased products
-        g = g3
-        up = st.u.to_physical()
-        Bp = st.B.to_physical()
-        N6 = to_spectral(g, np.stack(
-            [up[i] * up[j] - Bp[i] * Bp[j] for i, j in s3._SYM])) * g.dealias_mask
-        N = {ij: N6[m] for m, ij in enumerate(s3._SYM)}
-        divdiv = np.zeros(g.spectral_shape, dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                divdiv += -g.kvec[i] * g.kvec[j] * N[(min(i, j), max(i, j))]
-        res = -laplacian_scalar(g, pi) - divdiv
-        res[(0,) * 3] = 0.0
-        assert np.abs(res).max() <= 1e-12 * max(np.abs(divdiv).max(), 1e-300)
