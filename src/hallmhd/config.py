@@ -39,7 +39,7 @@ class RunConfig:
     sample_every: int = 10
     init_kind: str = "random_band"
     amplitude: float = 0.05
-    b_amplitude: float = -1.0       # < 0: use `amplitude` (2.5D magnetic data)
+    b_amplitude: float = -1.0       # < 0: use `amplitude` (2.5D random_band B0)
     seed: int = 0
     band_lo: float = 1.0
     band_hi: float = 2.5
@@ -68,8 +68,8 @@ class RunConfig:
             raise ConfigError("compute_budgets needs the extended formulation")
         if self.dimension == 2.5 and self.filter_rho > 0:
             raise ConfigError("filter_rho is 3D only")
-        if self.dimension == 3.0 and self.b_amplitude >= 0:
-            raise ConfigError("b_amplitude is 2.5D only (leave it negative in 3D)")
+        if self.b_amplitude >= 0 and (self.dimension == 3.0 or self.init_kind != "random_band"):
+            raise ConfigError("b_amplitude scales only 2.5D random_band data (leave it negative)")
         if self.n < 8 or self.n % 2:
             raise ConfigError(f"n must be even and >= 8, got {self.n}")
         if self.mu <= 0 or self.nu <= 0:

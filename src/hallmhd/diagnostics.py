@@ -27,10 +27,10 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .fields import SpectralField, l2_inner
+from .fields import SpectralField, l2_inner, pairing
 from .grid import GridSpec
 from .norms import hs_norm
-from .operators import curl3, k2_power, to_physical, to_spectral
+from .operators import apply_lambda_scalar, curl3, to_physical, to_spectral
 from .params import PhysicalParams, StepControl, step_count
 from .solver3d import SimState3D, StepSession, _SYM, make_state
 
@@ -41,6 +41,7 @@ __all__ = [
     "write_records_csv",
     "budget_terms",
     "budget_identity_residuals",
+    "budget_residuals",
     "cancellation_check",
     "adjointness_check",
     "energy_drift_series",
@@ -111,30 +112,19 @@ def read_records_csv(path) -> list[DiagnosticsRecord]:
     return [DiagnosticsRecord(*(float(x) for x in row)) for row in rows[1:]]
 
 
-# inner products ----------------------------------------------------------
-
-def _ip(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Real L2 pairing of coefficient arrays (any matching leading shape)."""
-    return float(np.sum(grid.pair_weight * (a.real * b.real + a.imag * b.imag)))
-
-
-def _lam(grid: GridSpec, c: np.ndarray, s: float) -> np.ndarray:
-    return c if s == 0 else c * k2_power(grid.k2, 0.5 * s)
-
+# budgets -----------------------------------------------------------------
 
 def _tensor_pairing(grid: GridSpec, T6: np.ndarray, w: np.ndarray) -> float:
     """(T | grad w) for a symmetric tensor stored in _SYM order."""
     total = 0.0
     for m, (i, j) in enumerate(_SYM):
         gw = 1j * grid.kvec[j] * w[i]
-        total += _ip(grid, T6[m], gw)
+        total += pairing(grid, T6[m], gw)
         if i != j:
             gw = 1j * grid.kvec[i] * w[j]
-            total += _ip(grid, T6[m], gw)
+            total += pairing(grid, T6[m], gw)
     return total
 
-
-# budgets -----------------------------------------------------------------
 
 def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> dict:
     """The eight budget inner products of the extended system at Sobolev
@@ -150,27 +140,27 @@ def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> d
     w = curl3(state.v)
     wp = to_physical(g, w.c)
 
-    uu = _lam(g, to_spectral(g, np.stack([up[i] * up[j] for i, j in _SYM])), s)
-    BB = _lam(g, to_spectral(g, np.stack([Bp[i] * Bp[j] for i, j in _SYM])), s)
-    lu = _lam(g, state.u.c, s)
-    lb = _lam(g, state.B.c, s)
-    lv = _lam(g, state.v.c, s)
+    uu = apply_lambda_scalar(g, to_spectral(g, np.stack([up[i] * up[j] for i, j in _SYM])), s)
+    BB = apply_lambda_scalar(g, to_spectral(g, np.stack([Bp[i] * Bp[j] for i, j in _SYM])), s)
+    lu = apply_lambda_scalar(g, state.u.c, s)
+    lb = apply_lambda_scalar(g, state.B.c, s)
+    lv = apply_lambda_scalar(g, state.v.c, s)
 
     a1 = _tensor_pairing(g, uu, lu)
     a2 = -_tensor_pairing(g, BB, lu)
-    vxB = _lam(g, to_spectral(g, np.cross(vp, Bp, axis=0)), s)
-    a3 = _ip(g, vxB, curl3(SpectralField(g, lb)).c)
+    vxB = apply_lambda_scalar(g, to_spectral(g, np.cross(vp, Bp, axis=0)), s)
+    a3 = pairing(g, vxB, curl3(SpectralField(g, lb)).c)
     a4 = _tensor_pairing(g, uu, lv)
     a5 = -_tensor_pairing(g, BB, lv)
 
     lcurlv = curl3(SpectralField(g, lv)).c
-    wxB = _lam(g, to_spectral(g, np.cross(wp, Bp, axis=0)), s)
-    lw_phys = to_physical(g, _lam(g, w.c, s))
+    wxB = apply_lambda_scalar(g, to_spectral(g, np.cross(wp, Bp, axis=0)), s)
+    lw_phys = to_physical(g, apply_lambda_scalar(g, w.c, s))
     lwxB = to_spectral(g, np.cross(lw_phys, Bp, axis=0))
-    a6 = -eps * _ip(g, wxB - lwxB, lcurlv)
+    a6 = -eps * pairing(g, wxB - lwxB, lcurlv)
 
-    vxu = _lam(g, to_spectral(g, np.cross(vp, up, axis=0)), s)
-    a7 = _ip(g, vxu, lcurlv)
+    vxu = apply_lambda_scalar(g, to_spectral(g, np.cross(vp, up, axis=0)), s)
+    a7 = pairing(g, vxu, lcurlv)
 
     # v.grad B = div(B (x) v) for solenoidal v, as in the full-lattice
     # reference of tests/oracle3d.py (the stepper folds this term into
@@ -178,7 +168,7 @@ def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> d
     P = to_spectral(g, np.stack([vp[i] * Bp[j] for i in range(3) for j in range(3)]))
     P = P.reshape((3, 3) + g.spectral_shape)
     vgradB = np.stack([sum(1j * g.kvec[k] * P[k, j] for k in range(3)) for j in range(3)])
-    a8 = 2.0 * eps * _ip(g, _lam(g, vgradB, s), lcurlv)
+    a8 = 2.0 * eps * pairing(g, apply_lambda_scalar(g, vgradB, s), lcurlv)
 
     return {
         "a1": a1, "a2": a2, "a3": a3, "a4": a4,
@@ -199,8 +189,13 @@ def budget_identity_residuals(state0: SimState3D, state1: SimState3D,
     h = state1.t - state0.t
     if h <= 0:
         raise ValueError("snapshots must be time-ordered")
-    b0 = budget_terms(state0, params, s)
-    b1 = budget_terms(state1, params, s)
+    return budget_residuals(budget_terms(state0, params, s), budget_terms(state1, params, s),
+                            h, params)
+
+
+def budget_residuals(b0: dict, b1: dict, h: float, params: PhysicalParams) -> dict:
+    """budget_identity_residuals from the budget_terms of the two
+    snapshots, h apart in time."""
     avg = {k: 0.5 * (b0[k] + b1[k]) for k in b0}
     res_u = (b1["xu"] - b0["xu"]) / (2 * h) + params.mu * avg["yu"] - (avg["a1"] + avg["a2"])
     res_b = (b1["xb"] - b0["xb"]) / (2 * h) + params.mu * avg["yb"] - avg["a3"]

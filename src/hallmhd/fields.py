@@ -3,9 +3,9 @@
 A field is three components of Fourier coefficients over one grid
 (2.5D fields keep three components over a 2D lattice).  Coefficients
 follow the forward-normalized DFT, u_hat(k) = N^-d sum_j u(x_j) e^{-ik.x_j},
-stored in real-FFT layout.  Evolved fields are mean-free and, when
-flagged, divergence-free: in 3D the full k.u_hat = 0, in 2.5D only the
-first two components enter ("tilde" divergence).
+stored in real-FFT layout.  Evolved fields are mean-free and
+divergence-free: in 3D the full k.u_hat = 0, in 2.5D only the first two
+components enter ("tilde" divergence).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "to_physical",
     "conj_reflect",
     "hermitianize_plane",
+    "pairing",
     "l2_inner",
 ]
 
@@ -53,7 +54,6 @@ class SpectralField:
 
     grid: GridSpec
     c: np.ndarray  # complex128, shape (3, *grid.spectral_shape)
-    is_divfree: bool = False
 
     def __post_init__(self):
         expected = (3,) + self.grid.spectral_shape
@@ -61,21 +61,21 @@ class SpectralField:
             raise ValueError(f"coefficient shape {self.c.shape} != {expected}")
 
     @classmethod
-    def zeros(cls, grid: GridSpec, is_divfree: bool = True) -> "SpectralField":
-        return cls(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128), is_divfree)
+    def zeros(cls, grid: GridSpec) -> "SpectralField":
+        return cls(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
 
     @classmethod
-    def from_physical(cls, grid: GridSpec, values: np.ndarray, is_divfree: bool = False) -> "SpectralField":
+    def from_physical(cls, grid: GridSpec, values: np.ndarray) -> "SpectralField":
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (3,) + grid.physical_shape:
             raise ValueError(f"physical shape {values.shape} != {(3,) + grid.physical_shape}")
-        return cls(grid, to_spectral(grid, values), is_divfree)
+        return cls(grid, to_spectral(grid, values))
 
     def to_physical(self) -> np.ndarray:
         return to_physical(self.grid, self.c)
 
-    def with_coeffs(self, c: np.ndarray, is_divfree: bool | None = None) -> "SpectralField":
-        return replace(self, c=c, is_divfree=self.is_divfree if is_divfree is None else is_divfree)
+    def with_coeffs(self, c: np.ndarray) -> "SpectralField":
+        return replace(self, c=c)
 
     def copy(self) -> "SpectralField":
         return replace(self, c=self.c.copy())
@@ -100,18 +100,18 @@ class SpectralField:
 
     # arithmetic (fields on the same grid)
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.c + other.c, self.is_divfree and other.is_divfree)
+        return SpectralField(self.grid, self.c + other.c)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.c - other.c, self.is_divfree and other.is_divfree)
+        return SpectralField(self.grid, self.c - other.c)
 
     def __mul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, self.c * a, self.is_divfree)
+        return SpectralField(self.grid, self.c * a)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.c, self.is_divfree)
+        return SpectralField(self.grid, -self.c)
 
 
 def conj_reflect(grid: GridSpec, plane: np.ndarray) -> np.ndarray:
@@ -134,9 +134,14 @@ def hermitianize_plane(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     return c
 
 
+def pairing(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Real L2 pairing of coefficient arrays (any matching leading shape)
+    under the mean-normalized measure."""
+    return float(np.sum(grid.pair_weight * (a.real * b.real + a.imag * b.imag)))
+
+
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 inner product under the mean-normalized measure."""
+    """Real L2 inner product of two fields on one grid."""
     if f.grid is not g.grid and f.grid.spectral_shape != g.grid.spectral_shape:
         raise ValueError("fields live on different grids")
-    w = f.grid.pair_weight
-    return float(np.sum(w * (f.c.real * g.c.real + f.c.imag * g.c.imag)))
+    return pairing(f.grid, f.c, g.c)

@@ -24,7 +24,6 @@ __all__ = [
     "inhomogeneous_hs_norm",
     "lp_norm",
     "lp_norm_scalar",
-    "evaluate_norm",
     "interpolation_check",
 ]
 
@@ -51,13 +50,9 @@ def hs_norm(f: SpectralField, s: float) -> float:
     return hs_norm_scalar(f.grid, f.c, s)
 
 
-def inhomogeneous_hs_norm(f: SpectralField | np.ndarray, s: float, grid: GridSpec | None = None) -> float:
+def inhomogeneous_hs_norm(f: SpectralField, s: float) -> float:
     """(1 + |k|^2)^{s/2} weighted norm, mean mode included."""
-    if isinstance(f, SpectralField):
-        grid, c = f.grid, f.c
-    else:
-        c = f
-    return _mode_norm(grid, c, (1.0 + grid.k2) ** s)
+    return _mode_norm(f.grid, f.c, (1.0 + f.grid.k2) ** s)
 
 
 @lru_cache(maxsize=8)
@@ -72,35 +67,23 @@ def _oversampled_values(grid: GridSpec, c: np.ndarray, oversample: int) -> np.nd
     return to_physical(fine, spectral_pad(grid, c, fine))
 
 
-def lp_norm_scalar(grid: GridSpec, c: np.ndarray, p: float, oversample: int = 2) -> float:
+def _lp_of_magnitude(mag: np.ndarray, p: float) -> float:
+    """Mean-measure L^p norm of nonnegative collocation values."""
     if p < 1:
         raise ValueError(f"L^p norm needs p >= 1, got {p}")
-    vals = _oversampled_values(grid, c, oversample)
-    if np.isinf(p):
-        return float(np.abs(vals).max())
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-
-
-def lp_norm(f: SpectralField, p: float, oversample: int = 2) -> float:
-    """L^p norm of the pointwise Euclidean magnitude, mean measure."""
-    if p < 1:
-        raise ValueError(f"L^p norm needs p >= 1, got {p}")
-    vals = _oversampled_values(f.grid, f.c, oversample)
-    mag = np.sqrt(np.sum(vals * vals, axis=0))
     if np.isinf(p):
         return float(mag.max())
     return float(np.mean(mag**p) ** (1.0 / p))
 
 
-def evaluate_norm(f: SpectralField, kind: str, s_or_p: float) -> float:
-    """Dispatcher for norm requests by kind."""
-    if kind == "homogeneous_Hs":
-        return hs_norm(f, s_or_p)
-    if kind == "inhomogeneous_Hs":
-        return inhomogeneous_hs_norm(f, s_or_p)
-    if kind == "Lp":
-        return lp_norm(f, s_or_p)
-    raise ValueError(f"unknown norm kind {kind!r}")
+def lp_norm_scalar(grid: GridSpec, c: np.ndarray, p: float, oversample: int = 2) -> float:
+    return _lp_of_magnitude(np.abs(_oversampled_values(grid, c, oversample)), p)
+
+
+def lp_norm(f: SpectralField, p: float, oversample: int = 2) -> float:
+    """L^p norm of the pointwise Euclidean magnitude, mean measure."""
+    vals = _oversampled_values(f.grid, f.c, oversample)
+    return _lp_of_magnitude(np.sqrt(np.sum(vals * vals, axis=0)), p)
 
 
 def interpolation_check(f: SpectralField, s0: float, s1: float, theta: float) -> dict:

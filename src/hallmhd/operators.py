@@ -79,7 +79,7 @@ def curl3(f: SpectralField) -> SpectralField:
     out[0] = 1j * (k2 * c[2] - k3 * c[1])
     out[1] = 1j * (k3 * c[0] - k1 * c[2])
     out[2] = 1j * (k1 * c[1] - k2 * c[0])
-    return SpectralField(g, out, is_divfree=True)
+    return SpectralField(g, out)
 
 
 def curl2(f: SpectralField) -> SpectralField:
@@ -94,7 +94,7 @@ def curl2(f: SpectralField) -> SpectralField:
     out[0] = 1j * k2 * c[2]
     out[1] = -1j * k1 * c[2]
     out[2] = 1j * (k1 * c[1] - k2 * c[0])
-    return SpectralField(g, out, is_divfree=True)
+    return SpectralField(g, out)
 
 
 def curl_inverse(f: SpectralField) -> SpectralField:
@@ -104,7 +104,7 @@ def curl_inverse(f: SpectralField) -> SpectralField:
         raise ValueError("curl_inverse needs a 3D grid")
     _check_mean_free(g, f.c, "curl_inverse")
     rot = curl3(f)
-    return rot.with_coeffs(rot.c * g.inv_k2, is_divfree=True)
+    return rot.with_coeffs(rot.c * g.inv_k2)
 
 
 # projection and filters ------------------------------------------------
@@ -119,7 +119,7 @@ def leray_project(f: SpectralField) -> SpectralField:
     for i in range(g.dim):
         out[i] -= g.kvec[i] * kdotf
     out[(slice(None),) + (0,) * g.dim] = 0.0
-    return SpectralField(g, out, is_divfree=True)
+    return SpectralField(g, out)
 
 
 def band_filter(f: SpectralField, lo: float, hi: float) -> SpectralField:

@@ -6,7 +6,6 @@ diagnostics monitors; presets add none of their own."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .diagnostics import monotonicity_monitor, weakstrong_monitor
 from .grid import GridSpec
 from .operators import leray_project
 from .params import CFLError, PhysicalParams, StepControl, required_dt
-from .runner import NumericsError, _json_default, run
+from .runner import NumericsError, run, write_json
 from .sampling import single_mode_field
 
 __all__ = ["ExperimentPreset", "PRESETS", "experiment", "preset_run_config",
@@ -189,12 +188,11 @@ def bisect_monotonicity_threshold(n: int = 16, seed: int = 0, t_probe: float = 0
 
 # orchestrations -------------------------------------------------------------
 
-def _experiment_weak_strong(out: Path, seed: int, n: int, dt: float = 1e-3,
-                            t_end: float = 0.5) -> dict:
-    grid = GridSpec.create(3, n)
+def _experiment_weak_strong(cfg: RunConfig) -> dict:
+    grid = GridSpec.create(3, cfg.n)
     params = PhysicalParams(1.0, 1.0, 1.0)
-    control = StepControl(dt=dt, t_end=t_end)
-    u0, B0 = s3.make_initial(grid, "random_band", 0.05, seed=seed)
+    control = StepControl(dt=cfg.dt, t_end=cfg.t_end)
+    u0, B0 = s3.make_initial(grid, "random_band", 0.05, seed=cfg.seed)
     pert = leray_project(single_mode_field(grid, (1, 1, 0), np.array([1e-6, -1e-6, 0.0])))
     # one reference run; the identical twin is its own session
     (_, ident), (deltas, summ) = weakstrong_monitor(
@@ -223,30 +221,28 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
     if preset_id == "threshold-bisect" and (dt is not None or t_end is not None):
         raise ConfigError("threshold-bisect takes neither dt nor t_end "
                           "(its probes choose their own steps)")
+    # the preset's inputs as a RunConfig, checked before anything is written
+    if preset_id == "weak-strong-3d":
+        base = RunConfig(n=32, dt=1e-3, t_end=0.5, seed=seed)
+    elif preset_id == "threshold-bisect":
+        base = RunConfig(n=32, seed=seed)
+    else:
+        base = preset_run_config(preset_id, seed=seed)
+    overrides = {"n": n, "dt": dt, "t_end": t_end}
+    cfg = replace(base, **{k: v for k, v in overrides.items() if v is not None}).validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if preset_id == "weak-strong-3d":
-        report = _experiment_weak_strong(out, seed, n or 32,
-                                         dt if dt is not None else 1e-3,
-                                         t_end if t_end is not None else 0.5)
+        report = _experiment_weak_strong(cfg)
     elif preset_id == "threshold-bisect":
-        report = bisect_monotonicity_threshold(n=n or 32, seed=seed)
+        report = bisect_monotonicity_threshold(n=cfg.n, seed=seed)
         report["pass"] = bool(np.isfinite(report["threshold_hi"]))
     else:
-        cfg = preset_run_config(preset_id, seed=seed)
-        if n is not None:
-            cfg = replace(cfg, n=n)
-        if dt is not None:
-            cfg = replace(cfg, dt=dt)
-        if t_end is not None:
-            cfg = replace(cfg, t_end=t_end)
         result = run(cfg, out_dir=out / "run")
         report = {"run_summary": result.summary, "pass": result.summary["pass"]}
 
     report = {"preset": preset_id, "statement": PRESETS[preset_id].statement,
               "seed": seed, **report}
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     return report

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .norms import hs_norm_scalar, lp_norm_scalar
-from .operators import apply_lambda_scalar, spectral_pad, to_physical, to_spectral
+from .norms import _oversampled_values, hs_norm_scalar, lp_norm, lp_norm_scalar
+from .operators import apply_lambda_scalar, gradient, to_physical, to_spectral
 from .sampling import random_scalar
 
 __all__ = ["ProbeReport", "inequality_probe", "kato_ponce_probe", "registered_inequalities"]
@@ -29,9 +29,12 @@ class ProbeReport:
     inequality_id: str
     samples: int
     resolution: int
-    max_ratio: float
     ratios: list[float] = field(default_factory=list)
     skipped: int = 0
+
+    @property
+    def max_ratio(self) -> float:
+        return max(self.ratios, default=0.0)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -61,24 +64,10 @@ def _probe_scalar(grid: GridSpec, seed: int) -> np.ndarray:
     return c * envelope
 
 
-def _grad_magnitude_lp(grid: GridSpec, c: np.ndarray, p: float) -> float:
-    """L^p norm of |grad f| by oversampled collocation."""
-    fine = _probe_grid(grid.dim, grid.n * 2)
-    comps = []
-    for i in range(grid.dim):
-        comps.append(to_physical(fine, spectral_pad(grid, 1j * grid.kvec[i] * c, fine)))
-    mag = np.sqrt(sum(v * v for v in comps))
-    if np.isinf(p):
-        return float(mag.max())
-    return float(np.mean(mag**p) ** (1.0 / p))
-
-
 def _pair_product_l2(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
     """Exact ||ab||_L2 for band-limited a, b via 2x oversampling (the
     integrand (ab)^2 is then fully resolved)."""
-    fine = _probe_grid(grid.dim, grid.n * 2)
-    ap = to_physical(fine, spectral_pad(grid, a, fine))
-    bp = to_physical(fine, spectral_pad(grid, b, fine))
+    ap, bp = _oversampled_values(grid, np.stack([a, b]), 2)
     return float(np.sqrt(np.mean((ap * bp) ** 2)))
 
 
@@ -167,14 +156,7 @@ def inequality_probe(inequality_id: str, samples: int, resolution: int,
             skipped += 1
             continue
         ratios.append(float(r))
-    return ProbeReport(
-        inequality_id=inequality_id,
-        samples=samples,
-        resolution=resolution,
-        max_ratio=max(ratios) if ratios else 0.0,
-        ratios=ratios,
-        skipped=skipped,
-    )
+    return ProbeReport(inequality_id, samples, resolution, ratios, skipped)
 
 
 def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: float,
@@ -213,7 +195,7 @@ def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: fl
         comm = ls_fg - to_spectral(grid, fp * to_physical(grid, ls_g))
         lhs_comm = lp_norm_scalar(grid, comm, p)
         rhs_comm = (
-            _grad_magnitude_lp(grid, f, p1) * lp_norm_scalar(grid, apply_lambda_scalar(grid, g, s - 1.0), p2)
+            lp_norm(gradient(grid, f), p1) * lp_norm_scalar(grid, apply_lambda_scalar(grid, g, s - 1.0), p2)
             + lp_norm_scalar(grid, apply_lambda_scalar(grid, f, s), p3) * lp_norm_scalar(grid, g, p4)
         )
         lhs_prod = lp_norm_scalar(grid, ls_fg, p)
@@ -226,17 +208,9 @@ def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: fl
         if rhs_prod > 0:
             prod_ratios.append(lhs_prod / rhs_prod)
 
-    def report(name: str, ratios: list[float]) -> ProbeReport:
-        return ProbeReport(
-            inequality_id=name,
-            samples=samples,
-            resolution=resolution,
-            max_ratio=max(ratios) if ratios else 0.0,
-            ratios=ratios,
-            skipped=skipped,
-        )
-
     return {
-        "commutator": report(f"kato-ponce-commutator-s{s}", comm_ratios),
-        "product": report(f"kato-ponce-product-s{s}", prod_ratios),
+        "commutator": ProbeReport(f"kato-ponce-commutator-s{s}", samples, resolution,
+                                  comm_ratios, skipped),
+        "product": ProbeReport(f"kato-ponce-product-s{s}", samples, resolution,
+                               prod_ratios, skipped),
     }

@@ -4,7 +4,8 @@ directory.  Every output byte is determined by (config, seed).
 
 3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
 3D physical system on a 2D lattice); a per-dimension monitor supplies
-the dissipation integrands, the sample rows and the summary keys."""
+the dissipation integrands, the sample rows and the summary keys.  Both
+monitors read every record norm from the session's compact band."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import solver3d as s3
 from .config import ConfigError, RunConfig
 from .diagnostics import (
     DiagnosticsRecord,
-    budget_identity_residuals,
+    budget_residuals,
     budget_terms,
     cancellation_check,
     decay_monitor,
@@ -30,12 +31,14 @@ from .diagnostics import (
     write_records_csv,
 )
 from .grid import GridSpec
-from .norms import hs_norm, inhomogeneous_hs_norm
-from .operators import band_filter, curl2
+# no run path calls hs_norm; the name stays importable from here because
+# the benchmark's tracer (bench/child.py) wraps runner.hs_norm
+from .norms import hs_norm  # noqa: F401
+from .operators import band_filter
 from .params import CFLError, PhysicalParams, StepControl, required_dt, step_count
 from .snapshots import write_snapshot
 
-__all__ = ["run", "RunResult", "NumericsError", "build_initial"]
+__all__ = ["run", "RunResult", "NumericsError", "build_initial", "write_json"]
 
 
 class NumericsError(RuntimeError):
@@ -87,10 +90,10 @@ def _sanitize(obj):
     return obj
 
 
-def _write_outputs(out_dir: Path, records, summary) -> None:
-    write_records_csv(out_dir / "timeseries.csv", records)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_sanitize(summary), fh, indent=2, sort_keys=True, default=_json_default)
+def write_json(path, obj) -> None:
+    """Strict JSON (non-finite floats as null), sorted keys, indent 2."""
+    with open(path, "w") as fh:
+        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -168,7 +171,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     for r in samples:
         records.append(DiagnosticsRecord(
             t=r["t"],
-            **{col: float(np.sqrt(r[key])) for col, key in _NORM_COLUMNS},
+            **{col: float(np.sqrt(r[key])) for col, key, _, _ in _NORM_COLUMNS},
             **{col: float(c[r["istep"]]) for col, c in zip(("diss_u", "diss_b", "diss_v"), cum)},
             **{col: r.get(col, 0.0) for col in _OPTIONAL_COLUMNS},
         ))
@@ -186,16 +189,26 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     }
     summary["pass"] = bool(all(v for k, v in summary.items() if k.startswith("pass_")))
 
-    _write_outputs(out, records, summary)
+    write_records_csv(out / "timeseries.csv", records)
+    write_json(out / "summary.json", summary)
     return RunResult(cfg, records, summary, out)
 
 
-# record columns: square roots of the sampled squared norms, and the
-# columns a monitor may fill (0.0 where it does not)
-_NORM_COLUMNS = (("l2_u", "l2u2"), ("l2_b", "l2b2"), ("h12_u", "h12u2"), ("h12_b", "h12b2"),
-                 ("h12_v", "h12v2"), ("h32_u", "h32u2"), ("h32_b", "h32b2"), ("h32_v", "h32v2"))
+# record columns: square roots of the sampled squared norms, as (column,
+# squared-norm key, field, s), and the columns a monitor may fill (0.0
+# where it does not)
+_NORM_COLUMNS = (("l2_u", "l2u2", "u", 0.0), ("l2_b", "l2b2", "B", 0.0),
+                 ("h12_u", "h12u2", "u", 0.5), ("h12_b", "h12b2", "B", 0.5),
+                 ("h12_v", "h12v2", "v", 0.5), ("h32_u", "h32u2", "u", 1.5),
+                 ("h32_b", "h32b2", "B", 1.5), ("h32_v", "h32v2", "v", 1.5))
 _OPTIONAL_COLUMNS = tuple(f"a{i}" for i in range(1, 9)) + (
     "cancellation", "v_drift", "v_weight", "w_weight", "e_residual")
+
+
+def _norm_row(session: s3.StepSession, vkey: str) -> dict:
+    """The squared record norms on the session band; `vkey` is the
+    session field ('v' or 'v_of_uB') behind the h*_v columns."""
+    return {key: session.hs2(vkey if f == "v" else f, s) for _, key, f, s in _NORM_COLUMNS}
 
 
 # 3D -------------------------------------------------------------------------
@@ -212,6 +225,7 @@ class _Monitor3D:
         self.extended = session.extended
         self.budget_rows: list[dict] = []
         self.budget_residuals: list[dict] = []
+        self.budget_prev = None  # budget terms (s = 1/2, budget_s) of the previous sample
         self.hi_mask = None
         self.partition_residual = 0.0
         if cfg.filter_rho > 0:
@@ -226,34 +240,14 @@ class _Monitor3D:
         s = self.session
         return s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v", 1.0) if self.extended else 0.0
 
-    def _hi_norm2(self) -> float:
-        if self.hi_mask is None:
-            return 0.0
-        sp = self.session.sp
-        tot = 0.0
-        for f in self.session.fields[:2]:
-            mag2 = (f.real**2 + f.imag**2).sum(axis=0)
-            tot += float(np.sum(sp.w_pair * self.hi_mask * mag2))
-        return tot
-
     def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
                before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
         sp = session.sp
-        row = {
-            "istep": istep,
-            "t": session.t,
-            "l2u2": session.hs2("u", 0.0),
-            "l2b2": session.hs2("B", 0.0),
-            "h12u2": session.hs2("u", 0.5),
-            "h12b2": session.hs2("B", 0.5),
-            "h32u2": session.hs2("u", 1.5),
-            "h32b2": session.hs2("B", 1.5),
-            "hi2": self._hi_norm2(),
-        }
         vkey = "v" if extended else "v_of_uB"
-        row["h12v2"] = session.hs2(vkey, 0.5)
-        row["h32v2"] = session.hs2(vkey, 1.5)
+        row = {"istep": istep, "t": session.t, **_norm_row(session, vkey)}
+        row["hi2"] = (0.0 if self.hi_mask is None else
+                      sum(sp.sum_hs2(f * self.hi_mask, 0.0) for f in session.fields[:2]))
         row["h12v_mon2"] = session.hs2("v_of_uB", 0.5) if extended else row["h12v2"]
         row["h32v_mon2"] = session.hs2("v_of_uB", 1.5) if extended else row["h32v2"]
         h1_all = (session.hs2("u", 1.0) + session.hs2("B", 1.0) + session.hs2(vkey, 1.0))
@@ -266,16 +260,21 @@ class _Monitor3D:
             drift = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
         row["v_drift"] = drift
         if self.cfg.compute_budgets:  # validate() requires the extended formulation
+            s = self.cfg.budget_s
             bt = budget_terms(st, params, 0.5)
+            terms = (bt, bt if s == 0.5 else budget_terms(st, params, s))
             self.budget_rows.append(bt)
             row.update({f"a{i}": bt[f"a{i}"] for i in range(1, 9)})
             row["cancellation"] = cancellation_check(st.v, st.B)
             if prev is not None:
+                h = st.t - prev.t
+                (p05, pss), (c05, css) = self.budget_prev, terms
                 self.budget_residuals.append(
                     {"t": 0.5 * (prev.t + st.t),
-                     "s05": budget_identity_residuals(prev, st, params, 0.5),
-                     "ss": budget_identity_residuals(prev, st, params, self.cfg.budget_s)}
+                     "s05": budget_residuals(p05, c05, h, params),
+                     "ss": budget_residuals(pss, css, h, params)}
                 )
+            self.budget_prev = terms
         return row
 
     def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
@@ -317,8 +316,10 @@ class _Monitor3D:
 # 2.5D -----------------------------------------------------------------------
 
 class _Monitor25D:
-    """Full-lattice norms of the sampled state, the combined-field law, the
-    rewritten induction equation, and the fitted constants of the
+    """Band norms of the sampled state (the record norms as in the 3D
+    monitor, plus the H^1/H^2 and vorticity norms behind the fitted
+    constants), the full-lattice certificates (the combined-field law and
+    the rewritten induction equation), and the fitted constants of the
     v-inequality, the B-H1 budget and the vorticity bound.
 
     Each sample inverse-transforms u and B once (one batched call) and
@@ -346,25 +347,17 @@ class _Monitor25D:
         """`prev` is the state at the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
-        params = self.params
-        u, B = st.u, st.B
-        v = u - params.eps * curl2(B)
-        l2_u, nab_u, nab2_u = (hs_norm(u, s) for s in (0.0, 1.0, 2.0))
-        nab_B, lap_B = hs_norm(B, 1.0), hs_norm(B, 2.0)
-        row = {
-            "istep": istep, "t": st.t,
-            "l2u2": l2_u**2, "l2b2": hs_norm(B, 0.0) ** 2,
-            "h12u2": hs_norm(u, 0.5) ** 2, "h12b2": hs_norm(B, 0.5) ** 2,
-            "h12v2": hs_norm(v, 0.5) ** 2,
-            "h32u2": hs_norm(u, 1.5) ** 2, "h32b2": hs_norm(B, 1.5) ** 2,
-            "h32v2": hs_norm(v, 1.5) ** 2,
-            "l2v2": hs_norm(v, 0.0) ** 2, "h1v2": hs_norm(v, 1.0) ** 2,
-            "h1u2": nab_u**2, "h1b2": nab_B**2,
-            "bh1_2": inhomogeneous_hs_norm(B, 1.0) ** 2,
-            "nabB_h1_2": nab_B**2 + lap_B**2, "nabB": nab_B, "lapB2": lap_B**2,
-            "om2": hs_norm(curl2(u), 0.0) ** 2,
-            "w_weight": l2_u**2 * nab_u**2 + nab_u * nab2_u,
-        }
+        params, hs2 = self.params, self.session.hs2
+        row = {"istep": istep, "t": st.t, **_norm_row(self.session, "v_of_uB")}
+        h1u2, h2u2, h1b2, h2b2 = hs2("u", 1.0), hs2("u", 2.0), hs2("B", 1.0), hs2("B", 2.0)
+        row.update({
+            "l2v2": hs2("v_of_uB", 0.0), "h1v2": hs2("v_of_uB", 1.0),
+            "h1u2": h1u2, "h1b2": h1b2,
+            "bh1_2": row["l2b2"] + h1b2,  # inhomogeneous H^1: B is mean-free
+            "nabB_h1_2": h1b2 + h2b2, "nabB": float(np.sqrt(h1b2)), "lapB2": h2b2,
+            "om2": hs2("curl_u", 0.0),
+            "w_weight": row["l2u2"] * h1u2 + float(np.sqrt(h1u2) * np.sqrt(h2u2)),
+        })
         phys = s25.physical_uB(st)
         e_res = 0.0
         if self.e_law:

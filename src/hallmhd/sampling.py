@@ -57,7 +57,7 @@ def random_scalar(grid: GridSpec, lo: float = 1.0, hi: float | None = None, seed
 def single_mode_field(grid: GridSpec, k: tuple[int, ...], amplitude: np.ndarray) -> SpectralField:
     """Field with coefficient `amplitude` at wavevector k (conjugate mode
     implied), i.e. the real field 2 Re(a e^{ik.x})."""
-    f = SpectralField.zeros(grid, is_divfree=False)
+    f = SpectralField.zeros(grid)
     c = f.c.copy()
     idx, conj = grid.index_of(k)
     a = np.asarray(amplitude, dtype=np.complex128)

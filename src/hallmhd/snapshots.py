@@ -54,7 +54,10 @@ def write_snapshot(path, t: float, fields: list[SpectralField]) -> None:
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-def _read_header(raw: bytes, path) -> tuple[int, int, int, float]:
+def _load(path) -> tuple[dict, bytes]:
+    """The header summary (with size and CRC validity) and the payload;
+    raises SnapshotFormatError only on an unreadable header."""
+    raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated header")
     magic, version, dim, n, ncomp, t = _HEADER.unpack_from(raw)
@@ -64,52 +67,38 @@ def _read_header(raw: bytes, path) -> tuple[int, int, int, float]:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
     if dim not in (2, 3) or n < 8 or n % 2 or ncomp % 3:
         raise SnapshotFormatError(f"{path}: implausible header (dim={dim}, n={n}, ncomp={ncomp})")
-    return dim, n, ncomp, t
+    nbytes = ncomp * n ** (dim - 1) * (n // 2 + 1) * 16  # complex128 half-spectrum
+    payload = raw[_HEADER.size:_HEADER.size + nbytes]
+    size_ok = len(raw) == _HEADER.size + nbytes + 4
+    crc_ok = False
+    if size_ok:
+        (stored,) = struct.unpack_from("<I", raw, _HEADER.size + nbytes)
+        crc_ok = zlib.crc32(payload) & 0xFFFFFFFF == stored
+    info = {"version": version, "dimension": dim, "n": n, "components": ncomp, "time": t,
+            "payload_bytes": nbytes, "size_ok": size_ok, "crc_ok": crc_ok}
+    return info, payload
 
 
 def read_snapshot(path, grid: GridSpec | None = None) -> tuple[float, list[SpectralField]]:
     """Read a snapshot; if `grid` is given, its dimension and resolution
     must match (cross-resolution reads are rejected)."""
-    raw = Path(path).read_bytes()
-    dim, n, ncomp, t = _read_header(raw, path)
+    info, payload = _load(path)
+    dim, n, ncomp = info["dimension"], info["n"], info["components"]
     if grid is not None and (grid.dim != dim or grid.n != n):
         raise SnapshotFormatError(
             f"{path}: snapshot is dim={dim} n={n}, expected dim={grid.dim} n={grid.n}"
         )
-    g = grid if grid is not None else GridSpec.create(dim, n)
-    per_comp = int(np.prod(g.spectral_shape))
-    nbytes = ncomp * per_comp * 16
-    if len(raw) != _HEADER.size + nbytes + 4:
+    if not info["size_ok"]:
         raise SnapshotFormatError(f"{path}: wrong payload size")
-    payload = raw[_HEADER.size:_HEADER.size + nbytes]
-    (crc_stored,) = struct.unpack_from("<I", raw, _HEADER.size + nbytes)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
+    if not info["crc_ok"]:
         raise SnapshotFormatError(f"{path}: CRC mismatch (corrupt payload)")
+    g = grid if grid is not None else GridSpec.create(dim, n)
     flat = np.frombuffer(payload, dtype=np.complex128).reshape(ncomp // 3, 3, *g.spectral_shape)
     fields = [SpectralField(g, flat[i].copy()) for i in range(ncomp // 3)]
-    return t, fields
+    return info["time"], fields
 
 
 def inspect_snapshot(path) -> dict:
-    """Header summary plus CRC validity (for the `inspect` CLI command)."""
-    raw = Path(path).read_bytes()
-    dim, n, ncomp, t = _read_header(raw, path)
-    g = GridSpec.create(dim, n)
-    per_comp = int(np.prod(g.spectral_shape))
-    nbytes = ncomp * per_comp * 16
-    ok_size = len(raw) == _HEADER.size + nbytes + 4
-    crc_ok = False
-    if ok_size:
-        payload = raw[_HEADER.size:_HEADER.size + nbytes]
-        (crc_stored,) = struct.unpack_from("<I", raw, _HEADER.size + nbytes)
-        crc_ok = zlib.crc32(payload) & 0xFFFFFFFF == crc_stored
-    return {
-        "version": _VERSION,
-        "dimension": dim,
-        "n": n,
-        "components": ncomp,
-        "time": t,
-        "payload_bytes": nbytes,
-        "size_ok": ok_size,
-        "crc_ok": crc_ok,
-    }
+    """Header summary plus size and CRC validity (for the `inspect` CLI
+    command)."""
+    return _load(path)[0]

@@ -121,7 +121,7 @@ def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,
         + eps * (lapBxB + 2.0 * _tilde_advect(g, jp, Bp) - grad_jB)
     ) * mask
     c -= params.nu * g.k2 * state.B.c
-    return SpectralField(g, c, is_divfree=True)
+    return SpectralField(g, c)
 
 
 def step_25d(state: s3.SimState3D, params: PhysicalParams,
@@ -225,8 +225,7 @@ def make_initial_25d(grid: GridSpec, kind: str, amplitude: float,
     if kind == "single_mode_b3":
         x1, _ = grid.coordinates()
         zero = np.zeros_like(x1)
-        B = SpectralField.from_physical(grid, np.stack([zero, zero, amplitude * np.sin(x1)]),
-                                        is_divfree=True)
+        B = SpectralField.from_physical(grid, np.stack([zero, zero, amplitude * np.sin(x1)]))
         return SpectralField.zeros(grid), B
     if kind == "random_band":
         if seed is None:

@@ -194,7 +194,7 @@ class _Stepper3D:
     def scatter_field(self, comp: np.ndarray) -> SpectralField:
         c = np.zeros((3,) + self.grid.spectral_shape, dtype=np.complex128)
         c.reshape(3, -1)[:, self.idx] = comp
-        return SpectralField(self.grid, c, is_divfree=True)
+        return SpectralField(self.grid, c)
 
     def to_phys(self, comp: np.ndarray) -> list[np.ndarray]:
         """Compact (3, m) coefficients -> three physical arrays."""
@@ -422,7 +422,7 @@ def abc_field(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
         np.sin(x1) + np.cos(x3),
         np.sin(x2) + np.cos(x1),
     ])
-    return SpectralField.from_physical(grid, vals, is_divfree=True)
+    return SpectralField.from_physical(grid, vals)
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -432,7 +432,7 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
         -np.cos(x1) * np.sin(x2) * np.cos(x3),
         np.zeros_like(x1),
     ])
-    return SpectralField.from_physical(grid, vals, is_divfree=True)
+    return SpectralField.from_physical(grid, vals)
 
 
 def make_initial(grid: GridSpec, kind: str, amplitude: float, seed: int | None = None,

@@ -100,7 +100,7 @@ def nonlinear_extended(state: SimState3D, params: PhysicalParams):
 
     dv_c = (-eps * wxB + vxu + 2.0 * eps * vgradB) * mask
     dv = curl3(SpectralField(g, dv_c))
-    dv = dv.with_coeffs(dv.c + force.c, is_divfree=True)
+    dv = dv.with_coeffs(dv.c + force.c)
     return force, dB, dv
 
 

@@ -204,9 +204,9 @@ def test_criterion_08_weak_strong():
         u0, B0, [(u0, B0), (u0 + pert32, B0)], params, ctrl, sample_every=20)
 
     # the same physical data on the finer lattice
-    u64 = SpectralField(g64, spectral_pad(g32, u0.c, g64), is_divfree=True)
-    B64 = SpectralField(g64, spectral_pad(g32, B0.c, g64), is_divfree=True)
-    p64 = SpectralField(g64, spectral_pad(g32, pert32.c, g64), is_divfree=True)
+    u64 = SpectralField(g64, spectral_pad(g32, u0.c, g64))
+    B64 = SpectralField(g64, spectral_pad(g32, B0.c, g64))
+    p64 = SpectralField(g64, spectral_pad(g32, pert32.c, g64))
     [(_, s64)] = weakstrong_monitor(u64, B64, [(u64 + p64, B64)], params, ctrl, sample_every=20)
 
     stability = max(s32["c_fit"], s64["c_fit"]) / min(s32["c_fit"], s64["c_fit"])

@@ -9,7 +9,7 @@ import pytest
 
 from hallmhd import cli
 from hallmhd.config import ConfigError, RunConfig, config_from_mapping, parse_config_file
-from hallmhd.diagnostics import RECORD_COLUMNS
+from hallmhd.diagnostics import RECORD_COLUMNS, read_records_csv
 from hallmhd.presets import PRESETS, bisect_monotonicity_threshold, experiment, preset_run_config
 from hallmhd.runner import NumericsError, run
 from hallmhd.snapshots import read_snapshot
@@ -76,6 +76,8 @@ class TestConfig:
         "compute_budgets = true",          # with the physical formulation
         "dimension = 2.5\nfilter_rho = 2.0",
         "b_amplitude = 0.0",               # in 3D
+        "dimension = 2.5\ninit_kind = single_mode_b3\nb_amplitude = 0.3",
+        "dimension = 2.5\ninit_kind = zero\nb_amplitude = 0.3",
     ])
     def test_inconsistent_config_exit_2(self, tmp_path, line):
         cfgfile = tmp_path / "c.cfg"
@@ -179,6 +181,29 @@ class TestRunner:
         res = run(cfg, out_dir=tmp_path / "b0")
         assert res.records[0].l2_b == 0.0 and res.records[0].l2_u > 0.0
         assert res.passed
+
+    @pytest.mark.parametrize("dimension", [3.0, 2.5])
+    def test_record_norms_match_full_lattice(self, tmp_path, dimension):
+        """The last timeseries row's norm columns, read from the session's
+        compact band, equal full-lattice hs_norm of snap_final.hmhd (v is
+        the evolved v in 3D extended runs, u - eps curl B in 2.5D)."""
+        from hallmhd.norms import hs_norm
+        from hallmhd.operators import curl2
+
+        extra = {"formulation": "extended"} if dimension == 3.0 else {}
+        cfg = RunConfig(dimension=dimension, n=16, t_end=0.02, sample_every=5, seed=2,
+                        out_dir=str(tmp_path / "r"), **extra)
+        run(cfg)
+        last = read_records_csv(tmp_path / "r" / "timeseries.csv")[-1]
+        _, fields = read_snapshot(tmp_path / "r" / "snap_final.hmhd")
+        u, B = fields[:2]
+        v = fields[2] if dimension == 3.0 else u - cfg.eps * curl2(B)
+        expected = {"l2_u": hs_norm(u, 0.0), "l2_b": hs_norm(B, 0.0),
+                    **{f"h{tag}_{name}": hs_norm(f, s)
+                       for tag, s in (("12", 0.5), ("32", 1.5))
+                       for name, f in (("u", u), ("b", B), ("v", v))}}
+        for col, value in expected.items():
+            assert getattr(last, col) == pytest.approx(value, rel=1e-14, abs=0.0), col
 
     def test_25d_e_residual_across_last_step(self, tmp_path):
         """With samples 10 steps apart the combined-field law is still
@@ -325,6 +350,34 @@ class TestPresets:
             experiment("threshold-bisect", tmp_path / "tb", **{key: 1e-3})
         rc = cli.main(["experiment", "threshold-bisect", flag, "1e-3", "--out", str(tmp_path / "tb")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["weak-strong-3d", "--seed", "-1"],
+        ["weak-strong-3d", "--n", "7"],
+        ["small-data-2p5d", "--seed", "-1"],
+        ["small-data-2p5d", "--n", "7"],
+        ["threshold-bisect", "--n", "7"],
+    ])
+    def test_invalid_inputs_exit_2_before_mkdir(self, tmp_path, monkeypatch, argv):
+        import hallmhd.presets as presets_mod
+
+        monkeypatch.setattr(presets_mod, "bisect_monotonicity_threshold",
+                            lambda **kw: {"threshold_hi": 1.0})
+        out = tmp_path / "ex"
+        assert cli.main(["experiment", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_threshold_without_failure_writes_strict_json(self, tmp_path, monkeypatch):
+        """No failing amplitude found: threshold_hi is inf in the report
+        and null in report.json."""
+        import hallmhd.presets as presets_mod
+
+        monkeypatch.setattr(presets_mod, "_monotone_at_amplitude", lambda *a, **kw: (True, {}))
+        report = experiment("threshold-bisect", tmp_path / "tb", n=16)
+        assert report["threshold_hi"] == np.inf and report["pass"] is False
+        text = (tmp_path / "tb" / "report.json").read_text()
+        assert json.loads(text)["threshold_hi"] is None
+        assert "Infinity" not in text
 
     def test_threshold_bisect_smoke(self):
         out = bisect_monotonicity_threshold(n=16, seed=1, t_probe=0.08, iters=2,

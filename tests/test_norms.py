@@ -7,7 +7,6 @@ import pytest
 
 from hallmhd.fields import SpectralField
 from hallmhd.norms import (
-    evaluate_norm,
     hs_norm,
     inhomogeneous_hs_norm,
     interpolation_check,
@@ -55,13 +54,6 @@ class TestHsNorm:
         expected = math.sqrt(2 * 0.25 * (1 + 5.0) ** 1.0)
         assert inhomogeneous_hs_norm(f, 1.0) == pytest.approx(expected, rel=1e-13)
 
-    def test_dispatcher(self, g3):
-        f = random_field(g3, 1, 4, seed=3)
-        assert evaluate_norm(f, "homogeneous_Hs", 0.5) == hs_norm(f, 0.5)
-        assert evaluate_norm(f, "Lp", 2.0) == pytest.approx(hs_norm(f, 0.0), rel=1e-12)
-        with pytest.raises(ValueError):
-            evaluate_norm(f, "Besov", 1.0)
-
 
 class TestLpNorm:
     def test_cosine_closed_forms(self, g3, coords3):
@@ -75,6 +67,10 @@ class TestLpNorm:
         assert lp_norm_scalar(g3, fld.c[0], 3.0) == pytest.approx(
             (4 / (3 * math.pi)) ** (1 / 3), rel=2e-5)
         assert lp_norm(fld, np.inf) == pytest.approx(1.0, rel=1e-12)
+
+    def test_p2_is_plancherel(self, g3):
+        f = random_field(g3, 1, 4, seed=3)
+        assert lp_norm(f, 2.0) == pytest.approx(hs_norm(f, 0.0), rel=1e-12)
 
     def test_p_below_one_rejected(self, g3):
         f = random_field(g3, 1, 4, seed=4)

@@ -87,7 +87,7 @@ class TestLiftTo3D:
     def lift(self, f):
         vals = f.to_physical()
         return SpectralField.from_physical(
-            self.G3, np.repeat(vals[..., None], self.G3.n, axis=-1), is_divfree=True)
+            self.G3, np.repeat(vals[..., None], self.G3.n, axis=-1))
 
     @staticmethod
     def slice_err(f3, f2):
@@ -272,8 +272,8 @@ class TestFittedConstantStability:
             return c
 
         c32 = c611_for(u0, B0)
-        u64 = SpectralField(g64, spectral_pad(g32, u0.c, g64), is_divfree=True)
-        B64 = SpectralField(g64, spectral_pad(g32, B0.c, g64), is_divfree=True)
+        u64 = SpectralField(g64, spectral_pad(g32, u0.c, g64))
+        B64 = SpectralField(g64, spectral_pad(g32, B0.c, g64))
         c64 = c611_for(u64, B64)
         assert c32 > 0 and c64 > 0
         assert max(c32, c64) / min(c32, c64) <= 2.0
