@@ -7,6 +7,7 @@ accept true/false/1/0, and '#' starts a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -55,6 +56,12 @@ class RunConfig:
     decay_fraction: float = 1.0     # assert final/initial triple norm <= this
 
     def validate(self) -> "RunConfig":
+        for f in dataclass_fields(self):
+            x = getattr(self, f.name)
+            # band_hi = inf keeps every mode, as in sampling.random_field
+            if (f.type == "float" and not math.isfinite(x)
+                    and not (f.name == "band_hi" and x == math.inf)):
+                raise ConfigError(f"{f.name} must be finite, got {x}")
         if self.dimension not in (3.0, 2.5):
             raise ConfigError(f"dimension must be 3 or 2.5, got {self.dimension}")
         if self.formulation not in ("physical", "extended"):

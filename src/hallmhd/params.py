@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .grid import GridSpec
@@ -50,7 +51,10 @@ class StepControl:
 def step_count(t_end: float, dt: float) -> int:
     """Number of dt steps that reach t_end; raises ValueError unless t_end
     is an integer multiple of dt (to a relative 1e-9)."""
-    nsteps = round(t_end / dt)
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end={t_end} over dt={dt} is not a finite step count")
+    nsteps = round(ratio)
     if abs(nsteps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
     return nsteps

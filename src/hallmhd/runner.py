@@ -5,7 +5,9 @@ directory.  Every output byte is determined by (config, seed).
 3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
 3D physical system on a 2D lattice); a per-dimension monitor supplies
 the dissipation integrands, the sample rows and the summary keys.  Both
-monitors read every record norm from the session's compact band."""
+monitors read every record norm from the session's compact band.  The
+t = 0 step guard reads its maxima from the session's stage-1 term,
+which step 1 reuses."""
 
 from __future__ import annotations
 
@@ -105,15 +107,17 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
     control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
     state0 = build_initial(cfg, grid, params)
+    session = s3.StepSession(state0, params, control)
 
-    # the step guards must admit dt at t = 0 (config error otherwise)
-    amax = (float(np.abs(f.to_physical()).max()) for f in (state0.u, state0.B))
-    bound = required_dt(grid, params, control, *amax)
+    # the step guards must admit dt at t = 0 (config error otherwise); the
+    # maxima are those of the band fields the stepper advances, from the
+    # stage-1 term that step 1 reuses
+    umax, bmax = session.rhs()[-2:]
+    bound = required_dt(grid, params, control, umax, bmax)
     if cfg.dt > bound:
         raise ConfigError(f"dt={cfg.dt:.3e} violates the step guards at t=0 "
                           f"(require dt <= {bound:.3e})")
 
-    session = s3.StepSession(state0, params, control)
     monitor = (_Monitor3D if grid.dim == 3 else _Monitor25D)(cfg, params, session)
     nsteps = step_count(cfg.t_end, cfg.dt)
 
@@ -326,7 +330,9 @@ class _Monitor25D:
     shares them between the E-law terms and the rewritten induction
     equation; with the E-law terms of the previous sample carried over,
     the certificates cost 7 forward and 3 inverse full-lattice transforms
-    per sample (rhs_25d runs on the stepper)."""
+    per sample.  The dB/dt they are checked against is the session's
+    stage-1 term (rhs_25d with the session), which the next step reuses,
+    and the ~20 band norms of a sample take one magnitude per field."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
@@ -376,7 +382,7 @@ class _Monitor25D:
             # hands over the state one step before it
             self.terms = None if self.step_before else terms
         row["e_residual"] = e_res
-        _, dB = s25.rhs_25d(st, params)
+        _, dB = s25.rhs_25d(st, params, self.session)  # the next step's stage 1
         rw = s25.rewritten_B_rhs(st, params, phys)
         scale = max(float(np.abs(dB.c).max()), 1e-300)
         row["rewritten_res"] = float(np.abs(rw.c - dB.c).max()) / scale

@@ -15,9 +15,11 @@ snapshots.
 The system is the 3D physical formulation restricted to x3-independent
 fields, so a 2.5D state is a physical-formulation solver3d.SimState3D
 on the 2D lattice, and the RHS and the step run on solver3d's
-compact-band stepper there (third wavevector zero).  The certificates here
-(rewritten_B_rhs, E_residual, identity_suite) evaluate the 2.5D forms
-independently on the full lattice.
+compact-band stepper there (third wavevector zero).  In a run rhs_25d
+reads the StepSession's stage-1 term, which the session's next step
+reuses, so a sampled dB/dt costs no extra nonlinear evaluation.  The
+certificates here (rewritten_B_rhs, E_residual, identity_suite)
+evaluate the 2.5D forms independently on the full lattice.
 
 Certificate transform budget per sample of a run (mu = nu): the run's
 monitor inverse-transforms u and B in one batched call and passes them
@@ -70,18 +72,26 @@ def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
     return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
-def _nonlinear_25d(state: s3.SimState3D, params: PhysicalParams):
+def _nonlinear_25d(state: s3.SimState3D, params: PhysicalParams,
+                   session: s3.StepSession | None = None):
     """Dealiased nonlinear (du/dt, dB/dt) without diffusion, from the
-    compact-band stepper on the 2D lattice (the nonlinearity does not
-    depend on dt, so the workspace is built with dt = 0)."""
+    compact-band stepper on the 2D lattice.  `session` is a StepSession
+    whose current fields are `state`'s: its stage-1 term, which its next
+    step reuses.  Without one the workspace is built with dt = 0 (the
+    nonlinearity does not depend on dt)."""
+    if session is not None:
+        du, dB, _, _ = session.rhs()
+        return session.sp.scatter_field(du), session.sp.scatter_field(dB)
     sp = s3.get_stepper(state.grid, params, 0.0, False)
     du, dB, _, _ = sp.nonlinear(sp.gather(state.u.c), sp.gather(state.B.c), with_maxes=False)
     return sp.scatter_field(du), sp.scatter_field(dB)
 
 
-def rhs_25d(state: s3.SimState3D, params: PhysicalParams) -> tuple[SpectralField, SpectralField]:
-    """Full (du/dt, dB/dt) of the 2.5D system."""
-    du, dB = _nonlinear_25d(state, params)
+def rhs_25d(state: s3.SimState3D, params: PhysicalParams,
+            session: s3.StepSession | None = None) -> tuple[SpectralField, SpectralField]:
+    """Full (du/dt, dB/dt) of the 2.5D system; `session` as in
+    _nonlinear_25d."""
+    du, dB = _nonlinear_25d(state, params, session)
     k2 = state.grid.k2
     return (
         du.with_coeffs(du.c - params.mu * k2 * state.u.c),

@@ -262,14 +262,19 @@ class _Stepper3D:
         if self.idx[0] == 0:
             c[:, 0] = 0.0
 
+    @staticmethod
+    def mag2(comp: np.ndarray) -> np.ndarray:
+        """Per-mode |c|^2 summed over the compact components."""
+        return (comp.real**2 + comp.imag**2).sum(axis=0)
+
     def sum_hs2(self, comp: np.ndarray, s: float) -> float:
-        """Squared homogeneous H^s mode sum over compact components (the
-        weight vanishes at k = 0, so the mean mode never counts)."""
+        """Squared homogeneous H^s mode sum over compact components (c, m),
+        or over their mag2 (m,) when the caller has it (the weight
+        vanishes at k = 0, so the mean mode never counts)."""
         w = self._hs_weights.get(s)
         if w is None:
             w = self._hs_weights[s] = self.w_pair * k2_power(self.k2, s)
-        mag2 = (comp.real**2 + comp.imag**2).sum(axis=0)
-        return float(np.sum(w * mag2))
+        return float(np.sum(w * (comp if comp.ndim == 1 else self.mag2(comp))))
 
     def nonlinear(self, uc, Bc, vc=None, with_maxes: bool = True):
         """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
@@ -308,8 +313,9 @@ class _Stepper3D:
         Nv += force
         return force, NB, Nv, umax, bmax
 
-    def advance(self, fields: list[np.ndarray], control: StepControl):
-        """One Heun step on compact coefficient arrays (in order u, B[, v]).
+    def advance(self, fields: list[np.ndarray], control: StepControl, stage1=None):
+        """One Heun step on compact coefficient arrays (in order u, B[, v]);
+        `stage1` is nonlinear(*fields) when the caller already has it.
         Raises FloatingPointError on non-finite input fields or a
         non-finite result, and CFLError when the stage-1 amplitudes
         violate the step guards.  The CFL bound is taken once per step,
@@ -317,7 +323,7 @@ class _Stepper3D:
         predictor fields are not CFL-checked, but a non-finite result
         fails this step rather than the next one."""
         dt = self.dt
-        out = self.nonlinear(*fields)
+        out = self.nonlinear(*fields) if stage1 is None else stage1
         umax, bmax = out[-2], out[-1]
         n1 = out[:-2]
         if not (np.isfinite(umax) and np.isfinite(bmax)):
@@ -370,7 +376,14 @@ def step(state: SimState3D, params: PhysicalParams, control: StepControl) -> Sim
 
 class StepSession:
     """Long-run driver that keeps the evolved fields in compact (dealias
-    band) layout between steps; state() materializes a SimState3D."""
+    band) layout between steps; state() materializes a SimState3D.
+
+    Until the next advance() the session keeps what it has computed on
+    its current fields: the stage-1 nonlinear term (rhs(), which the next
+    step reuses instead of recomputing it: first same as last) and one
+    mag2 per field key of hs2(), so a curl and a magnitude are formed
+    once per step whatever the number of orders asked for.  The fields
+    must therefore only be replaced, never changed in place."""
 
     def __init__(self, state: SimState3D, params: PhysicalParams, control: StepControl):
         self.params = params
@@ -381,9 +394,19 @@ class StepSession:
         if state.extended:
             self.fields.append(self.sp.gather(state.v.c))
         self.t = state.t
+        self._stage1 = None
+        self._mag2: dict[str, np.ndarray] = {}
+
+    def rhs(self) -> tuple:
+        """The stage-1 output of _Stepper3D.nonlinear on the current fields,
+        (Nu, NB[, Nv], max|u|, max|B|); computed once per step."""
+        if self._stage1 is None:
+            self._stage1 = self.sp.nonlinear(*self.fields)
+        return self._stage1
 
     def advance(self) -> None:
-        self.fields = self.sp.advance(self.fields, self.control)
+        stage1, self._stage1, self._mag2 = self._stage1, None, {}
+        self.fields = self.sp.advance(self.fields, self.control, stage1)
         self.t += self.control.dt
 
     def state(self) -> SimState3D:
@@ -396,15 +419,19 @@ class StepSession:
         """Squared H^s norm of one evolved field ('u', 'B', 'v'), of the
         recomputed electron velocity 'v_of_uB', or of the vorticity
         'curl_u' or the current 'curl_B'."""
-        sp, (u, B, *v) = self.sp, self.fields
-        comp = {
-            "u": lambda: u, "B": lambda: B, "v": lambda: v[0],
-            "v_of_uB": lambda: u - self.params.eps * sp._curl(B),
-            "curl_u": lambda: sp._curl(u), "curl_B": lambda: sp._curl(B),
-        }.get(which)
-        if comp is None:
-            raise ValueError(f"unknown field {which!r}")
-        return sp.sum_hs2(comp(), s)
+        sp = self.sp
+        mag2 = self._mag2.get(which)
+        if mag2 is None:
+            u, B, *v = self.fields
+            comp = {
+                "u": lambda: u, "B": lambda: B, "v": lambda: v[0],
+                "v_of_uB": lambda: u - self.params.eps * sp._curl(B),
+                "curl_u": lambda: sp._curl(u), "curl_B": lambda: sp._curl(B),
+            }.get(which)
+            if comp is None:
+                raise ValueError(f"unknown field {which!r}")
+            mag2 = self._mag2[which] = sp.mag2(comp())
+        return sp.sum_hs2(mag2, s)
 
     def finite(self) -> bool:
         return all(np.all(np.isfinite(f)) for f in self.fields)

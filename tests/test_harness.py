@@ -52,6 +52,8 @@ class TestConfig:
         assert RunConfig(init_kind="zero", amplitude=0.0).validate()
         # t_end = 0.15 is 149.99999999999997 dt in floating point
         assert RunConfig(dt=1e-3, t_end=0.15).validate()
+        # band_hi = inf keeps every mode, as in random_field
+        assert RunConfig(band_hi=float("inf")).validate()
 
     def test_step_count_rule(self):
         # the one rule behind RunConfig.validate, run() and the twin monitor
@@ -61,6 +63,9 @@ class TestConfig:
         assert step_count(0.0105, 5e-4) == 21
         with pytest.raises(ValueError, match="integer multiple"):
             step_count(0.0105, 1e-3)
+        for t_end, dt in ((float("inf"), 1e-3), (1e300, 1e-300), (float("nan"), 1e-3)):
+            with pytest.raises(ValueError, match="finite step count"):
+                step_count(t_end, dt)
 
     @pytest.mark.parametrize("line", [
         "t_end = 0.0105",        # 10.5 steps: round() would move the final time
@@ -78,6 +83,16 @@ class TestConfig:
         "b_amplitude = 0.0",               # in 3D
         "dimension = 2.5\ninit_kind = single_mode_b3\nb_amplitude = 0.3",
         "dimension = 2.5\ninit_kind = zero\nb_amplitude = 0.3",
+        # non-finite numbers (band_hi = inf is allowed: every mode)
+        "t_end = inf",
+        "dt = 1e-300\nt_end = 1e300",
+        "mu = nan\nnu = nan",
+        "eps = nan",
+        "amplitude = nan",
+        "band_hi = nan",
+        "snapshot_every = nan",
+        "budget_s = nan",
+        "tol_energy_drift = nan",
     ])
     def test_inconsistent_config_exit_2(self, tmp_path, line):
         cfgfile = tmp_path / "c.cfg"
@@ -281,6 +296,28 @@ class TestRunner:
         run(cfg, out_dir=tmp_path / "b")
         assert per_sample == [budget] * 6
 
+    @pytest.mark.parametrize("sample_every", [1, 5])
+    def test_25d_stage1_evaluated_once_per_step(self, tmp_path, monkeypatch, sample_every):
+        """The t = 0 guard and each sample's dB/dt read the session's
+        stage-1 term, which the next step reuses: k steps make 2k + 1
+        nonlinear evaluations (a stage 1 and a stage 2 per step, plus the
+        final sample's), whatever the sampling."""
+        from hallmhd import solver3d as s3
+
+        nonlinear = s3._Stepper3D.nonlinear
+        calls = []
+
+        def counted(self, *fields, **kwargs):
+            calls.append(None)
+            return nonlinear(self, *fields, **kwargs)
+
+        monkeypatch.setattr(s3._Stepper3D, "nonlinear", counted)
+        k = 10
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=k * 1e-3,
+                        sample_every=sample_every, amplitude=0.05, seed=3)
+        run(cfg, out_dir=tmp_path / "c")
+        assert len(calls) == 2 * k + 1
+
     def test_freq_split_monitoring(self, tmp_path):
         cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3,
                         t_end=0.05, sample_every=10, amplitude=0.02,
@@ -357,6 +394,8 @@ class TestPresets:
         ["small-data-2p5d", "--seed", "-1"],
         ["small-data-2p5d", "--n", "7"],
         ["threshold-bisect", "--n", "7"],
+        ["weak-strong-3d", "--t-end", "inf"],
+        ["weak-strong-3d", "--dt", "1e-300", "--t-end", "1e300"],
     ])
     def test_invalid_inputs_exit_2_before_mkdir(self, tmp_path, monkeypatch, argv):
         import hallmhd.presets as presets_mod
@@ -435,6 +474,38 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfgfile)]) == 3
         assert (out / "snap_last_good.hmhd").exists()
 
+    def test_25d_midrun_guard_violation_names_its_step(self, tmp_path, capsys):
+        """With sample_every = 1 every step's stage 1 comes from the sample
+        before it; a dt that breaks the step guards mid-run still fails
+        at the step a plain stepping loop rejects."""
+        from hallmhd import solver25d as s25
+        from hallmhd import solver3d as s3
+        from hallmhd.grid import GridSpec
+        from hallmhd.params import CFLError, PhysicalParams, StepControl, required_dt
+
+        g = GridSpec.create(2, 16)
+        params = PhysicalParams(0.02, 0.02, 1.0)
+        u0, B0 = s25.make_initial_25d(g, "random_band", 2.0, seed=1)
+        bound = required_dt(g, params, StepControl(dt=1, t_end=1),
+                            float(np.abs(u0.to_physical()).max()),
+                            float(np.abs(B0.to_physical()).max()))
+        dt = 0.98 * bound
+        control = StepControl(dt=dt, t_end=200 * dt)
+        st = s3.make_state(u0, B0, params)
+        with pytest.raises(CFLError):
+            for step in range(1, 201):
+                st = s3.step(st, params, control)
+        assert 1 < step < 200
+        out = tmp_path / "blow25"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "dimension = 2.5\nn = 16\nmu = 0.02\nnu = 0.02\namplitude = 2.0\nseed = 1\n"
+            f"dt = {dt!r}\nt_end = {200 * dt!r}\nsample_every = 1\nout_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 3
+        assert f"at step {step} (t=" in capsys.readouterr().err
+        t, _ = read_snapshot(out / "snap_last_good.hmhd")
+        assert t == pytest.approx((step - 1) * dt)
+
     @pytest.mark.parametrize("dimension", ["3", "2.5"])
     def test_nan_mid_run_fails_at_its_step(self, tmp_path, monkeypatch, capsys, dimension):
         """A NaN that enters the fields at step 3 of a sample_every = 10
@@ -445,11 +516,11 @@ class TestCli:
         advance = s3._Stepper3D.advance
         calls = []
 
-        def poisoned(self, fields, control):
+        def poisoned(self, fields, control, *args):
             calls.append(None)
             if len(calls) == 3:
                 fields[0][1, 1] = np.nan
-            return advance(self, fields, control)
+            return advance(self, fields, control, *args)
 
         monkeypatch.setattr(s3._Stepper3D, "advance", poisoned)
         out = tmp_path / "nan"

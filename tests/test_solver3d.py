@@ -221,6 +221,78 @@ class TestStep:
         self.assert_matches_reference_composition(g3, formulation, params, independent_v)
 
 
+class TestStepSessionReuse:
+    """A session keeps its stage-1 term and its hs2 magnitudes for its
+    current fields only: after advance() both equal a fresh session's on
+    the new state, bit for bit, and a reused stage 1 steps as a fresh one."""
+
+    CASES = [
+        (3, "physical", PhysicalParams(1.0, 0.7, 1.0)),
+        (3, "extended", P1),
+        (2, "physical", P1),
+    ]
+    ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+    @staticmethod
+    def session(dim, formulation, params):
+        g = GridSpec.create(dim, 16)
+        if dim == 3:
+            st = small_random_state(g, extended=formulation == "extended", params=params)
+        else:
+            from hallmhd import solver25d as s25
+            st = s3.make_state(*s25.make_initial_25d(g, "random_band", 0.3, seed=12), params)
+        return s3.StepSession(st, params, StepControl(dt=1e-3, t_end=1.0))
+
+    @staticmethod
+    def keys(session):
+        return ["u", "B", "v_of_uB", "curl_u", "curl_B"] + (["v"] if session.extended else [])
+
+    @staticmethod
+    def assert_same(a, b):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y)
+            else:
+                assert x == y
+
+    @pytest.mark.parametrize("dim,formulation,params", CASES, ids=["3-phys", "3-ext", "2.5"])
+    def test_caches_follow_the_fields(self, dim, formulation, params):
+        session = self.session(dim, formulation, params)
+        for key in self.keys(session):  # fill the magnitude cache before the step
+            session.hs2(key, 1.0)
+        session.rhs()
+        session.advance()
+        fresh = s3.StepSession(session.state(), params, session.control)
+        self.assert_same(session.rhs(), fresh.rhs())
+        for key in self.keys(session):
+            for s in self.ORDERS:
+                assert session.hs2(key, s) == fresh.hs2(key, s), (key, s)
+
+    @pytest.mark.parametrize("dim,formulation,params", CASES, ids=["3-phys", "3-ext", "2.5"])
+    def test_reused_stage1_steps_bit_for_bit(self, dim, formulation, params):
+        reused, plain = self.session(dim, formulation, params), self.session(dim, formulation, params)
+        for _ in range(3):
+            reused.rhs()
+            reused.advance()
+            plain.advance()
+        self.assert_same(reused.fields, plain.fields)
+
+    def test_hs2_magnitude_formed_once_per_field(self, monkeypatch):
+        session = self.session(2, "physical", P1)
+        calls = []
+        mag2 = s3._Stepper3D.mag2
+        monkeypatch.setattr(s3._Stepper3D, "mag2", staticmethod(
+            lambda comp: calls.append(None) or mag2(comp)))
+        for s in self.ORDERS:
+            for key in self.keys(session):
+                session.hs2(key, s)
+        assert len(calls) == len(self.keys(session))
+        session.advance()
+        session.hs2("u", 0.5)
+        assert len(calls) == len(self.keys(session)) + 1
+
+
 class TestBandTransforms:
     """The stepper's pruned transforms against the full ones: scatter +
     irfftn and rfftn + gather over the dealias band."""
