@@ -359,9 +359,9 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
         """Squared L2 norms of du, dB, dv and squared H1 norms of du, dB."""
         du_ = ref.fields[0] - twin.fields[0]
         dB_ = ref.fields[1] - twin.fields[1]
-        dv_ = du_ - params.eps * sp._curl(dB_)
-        return (sp.sum_hs2(du_, 0.0), sp.sum_hs2(dB_, 0.0), sp.sum_hs2(dv_, 0.0),
-                sp.sum_hs2(du_, 1.0), sp.sum_hs2(dB_, 1.0))
+        du2, dB2, dv2 = (sp.mag2(d) for d in (du_, dB_, du_ - params.eps * sp._curl(dB_)))
+        return (sp.sum_hs2(du2, 0.0), sp.sum_hs2(dB2, 0.0), sp.sum_hs2(dv2, 0.0),
+                sp.sum_hs2(du2, 1.0), sp.sum_hs2(dB2, 1.0))
 
     w = weight_now()
     prev = [diff2(twin) for twin in sessions]

@@ -102,7 +102,6 @@ def write_json(path, obj) -> None:
 def run(cfg: RunConfig, out_dir=None) -> RunResult:
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = GridSpec.create(3 if cfg.dimension == 3.0 else 2, cfg.n)
     params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
     control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
@@ -117,6 +116,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     if cfg.dt > bound:
         raise ConfigError(f"dt={cfg.dt:.3e} violates the step guards at t=0 "
                           f"(require dt <= {bound:.3e})")
+    out.mkdir(parents=True, exist_ok=True)
 
     monitor = (_Monitor3D if grid.dim == 3 else _Monitor25D)(cfg, params, session)
     nsteps = step_count(cfg.t_end, cfg.dt)
@@ -251,7 +251,7 @@ class _Monitor3D:
         vkey = "v" if extended else "v_of_uB"
         row = {"istep": istep, "t": session.t, **_norm_row(session, vkey)}
         row["hi2"] = (0.0 if self.hi_mask is None else
-                      sum(sp.sum_hs2(f * self.hi_mask, 0.0) for f in session.fields[:2]))
+                      sum(sp.sum_hs2(sp.mag2(f * self.hi_mask), 0.0) for f in session.fields[:2]))
         row["h12v_mon2"] = session.hs2("v_of_uB", 0.5) if extended else row["h12v2"]
         row["h32v_mon2"] = session.hs2("v_of_uB", 1.5) if extended else row["h32v2"]
         h1_all = (session.hs2("u", 1.0) + session.hs2("B", 1.0) + session.hs2(vkey, 1.0))
@@ -259,8 +259,8 @@ class _Monitor3D:
         drift = 0.0
         if extended:
             vc_target = session.fields[0] - params.eps * sp._curl(session.fields[1])
-            num = sp.sum_hs2(session.fields[2] - vc_target, 0.0)
-            den = sp.sum_hs2(session.fields[2], 0.0)
+            num = sp.sum_hs2(sp.mag2(session.fields[2] - vc_target), 0.0)
+            den = session.hs2("v", 0.0)
             drift = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
         row["v_drift"] = drift
         if self.cfg.compute_budgets:  # validate() requires the extended formulation

@@ -76,12 +76,16 @@ def _nonlinear_25d(state: s3.SimState3D, params: PhysicalParams,
                    session: s3.StepSession | None = None):
     """Dealiased nonlinear (du/dt, dB/dt) without diffusion, from the
     compact-band stepper on the 2D lattice.  `session` is a StepSession
-    whose current fields are `state`'s: its stage-1 term, which its next
-    step reuses.  Without one the workspace is built with dt = 0 (the
-    nonlinearity does not depend on dt)."""
+    whose current fields are `state`'s (ValueError otherwise): its
+    stage-1 term, which its next step reuses.  Without one the workspace
+    is built with dt = 0 (the nonlinearity does not depend on dt)."""
     if session is not None:
+        sp = session.sp
+        if session.t != state.t or not all(
+                np.array_equal(sp.gather(f.c), c) for f, c in zip((state.u, state.B), session.fields)):
+            raise ValueError("the session's current fields are not the state's")
         du, dB, _, _ = session.rhs()
-        return session.sp.scatter_field(du), session.sp.scatter_field(dB)
+        return sp.scatter_field(du), sp.scatter_field(dB)
     sp = s3.get_stepper(state.grid, params, 0.0, False)
     du, dB, _, _ = sp.nonlinear(sp.gather(state.u.c), sp.gather(state.B.c), with_maxes=False)
     return sp.scatter_field(du), sp.scatter_field(dB)

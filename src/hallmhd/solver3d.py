@@ -267,14 +267,13 @@ class _Stepper3D:
         """Per-mode |c|^2 summed over the compact components."""
         return (comp.real**2 + comp.imag**2).sum(axis=0)
 
-    def sum_hs2(self, comp: np.ndarray, s: float) -> float:
-        """Squared homogeneous H^s mode sum over compact components (c, m),
-        or over their mag2 (m,) when the caller has it (the weight
-        vanishes at k = 0, so the mean mode never counts)."""
+    def sum_hs2(self, mag2: np.ndarray, s: float) -> float:
+        """Squared homogeneous H^s mode sum of a per-mode magnitude mag2(c)
+        (the weight vanishes at k = 0, so the mean mode never counts)."""
         w = self._hs_weights.get(s)
         if w is None:
             w = self._hs_weights[s] = self.w_pair * k2_power(self.k2, s)
-        return float(np.sum(w * (comp if comp.ndim == 1 else self.mag2(comp))))
+        return float(np.sum(w * mag2))
 
     def nonlinear(self, uc, Bc, vc=None, with_maxes: bool = True):
         """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
@@ -313,19 +312,18 @@ class _Stepper3D:
         Nv += force
         return force, NB, Nv, umax, bmax
 
-    def advance(self, fields: list[np.ndarray], control: StepControl, stage1=None):
-        """One Heun step on compact coefficient arrays (in order u, B[, v]);
-        `stage1` is nonlinear(*fields) when the caller already has it.
-        Raises FloatingPointError on non-finite input fields or a
-        non-finite result, and CFLError when the stage-1 amplitudes
+    def advance(self, fields: list[np.ndarray], control: StepControl, stage1: tuple):
+        """One Heun step on compact coefficient arrays (in order u, B[, v])
+        whose stage-1 term nonlinear(*fields) is `stage1`.  Raises
+        FloatingPointError on non-finite input fields or a non-finite
+        result, and CFLError when the stage-1 amplitudes
         violate the step guards.  The CFL bound is taken once per step,
         from the stage-1 maxima; stage 2 computes no maxima, so its
         predictor fields are not CFL-checked, but a non-finite result
         fails this step rather than the next one."""
         dt = self.dt
-        out = self.nonlinear(*fields) if stage1 is None else stage1
-        umax, bmax = out[-2], out[-1]
-        n1 = out[:-2]
+        umax, bmax = stage1[-2], stage1[-1]
+        n1 = stage1[:-2]
         if not (np.isfinite(umax) and np.isfinite(bmax)):
             raise FloatingPointError(f"non-finite fields (max|u| = {umax}, max|B| = {bmax})")
         bound = required_dt(self.grid, self.params, control, umax, bmax)
@@ -405,7 +403,8 @@ class StepSession:
         return self._stage1
 
     def advance(self) -> None:
-        stage1, self._stage1, self._mag2 = self._stage1, None, {}
+        stage1 = self.rhs()
+        self._stage1, self._mag2 = None, {}
         self.fields = self.sp.advance(self.fields, self.control, stage1)
         self.t += self.control.dt
 
@@ -422,12 +421,15 @@ class StepSession:
         sp = self.sp
         mag2 = self._mag2.get(which)
         if mag2 is None:
-            u, B, *v = self.fields
-            comp = {
-                "u": lambda: u, "B": lambda: B, "v": lambda: v[0],
+            u, B = self.fields[:2]
+            comps = {
+                "u": lambda: u, "B": lambda: B,
                 "v_of_uB": lambda: u - self.params.eps * sp._curl(B),
                 "curl_u": lambda: sp._curl(u), "curl_B": lambda: sp._curl(B),
-            }.get(which)
+            }
+            if self.extended:
+                comps["v"] = lambda: self.fields[2]
+            comp = comps.get(which)
             if comp is None:
                 raise ValueError(f"unknown field {which!r}")
             mag2 = self._mag2[which] = sp.mag2(comp())

@@ -160,6 +160,14 @@ class TestRunner:
         with pytest.raises(ConfigError, match="step guards"):
             run(cfg)
 
+    def test_initial_guard_violation_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "cfl"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"dimension = 3\nn = 16\ndt = 0.5\nt_end = 1.0\namplitude = 1.0\n"
+                           f"seed = 1\nout_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 2
+        assert not out.exists()
+
     def test_dissipation_integrals_nondecreasing(self, tmp_path):
         cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3,
                         t_end=0.05, sample_every=5, amplitude=0.1, seed=6,

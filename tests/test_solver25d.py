@@ -26,6 +26,20 @@ def random_state(g2, amp=0.3, seed=5, params=P1):
 
 
 class TestRhs:
+    def test_session_must_hold_the_state(self, g2):
+        """rhs_25d with a session returns the session's stage 1 and raises
+        when the session's current fields are not the state's."""
+        st = random_state(g2)
+        session = s3.StepSession(st, P1, StepControl(dt=1e-3, t_end=1.0))
+        for a, b in zip(s25.rhs_25d(st, P1, session), s25.rhs_25d(st, P1)):
+            assert np.array_equal(a.c, b.c)
+        session.advance()
+        with pytest.raises(ValueError, match="not the state's"):
+            s25.rhs_25d(st, P1, session)
+        other = random_state(g2, seed=6)
+        with pytest.raises(ValueError, match="not the state's"):
+            s25.rhs_25d(other, P1, s3.StepSession(st, P1, StepControl(dt=1e-3, t_end=1.0)))
+
     def test_zero_state(self, g2):
         st = s25.make_state_25d(SpectralField.zeros(g2), SpectralField.zeros(g2), P1)
         du, dB = s25.rhs_25d(st, P1)

@@ -292,6 +292,12 @@ class TestStepSessionReuse:
         session.hs2("u", 0.5)
         assert len(calls) == len(self.keys(session)) + 1
 
+    def test_hs2_unknown_key_is_value_error(self):
+        session = self.session(3, "physical", P1)
+        for key in ("v", "w"):  # a physical session evolves no v
+            with pytest.raises(ValueError, match="unknown field"):
+                session.hs2(key, 1.0)
+
 
 class TestBandTransforms:
     """The stepper's pruned transforms against the full ones: scatter +
