@@ -43,11 +43,30 @@ the order scipy's irfftn/rfftn use, so that at power-of-two n they are
 bit for bit the full transforms.  Inverse: axis 0, axis 1, then the
 half-spectrum axis; forward: the half-spectrum axis, axis 0, axis 1
 (2D grids have no axis 1).
+
+An evaluation runs as two phases of independent jobs: first one inverse
+transform per component of u, B, E (and v); then, per row of the
+product table F, one pointwise product p q - r s and its forward
+transform (the six rows of T, then E x B, or v x B and v x E).  A
+stepper has one or two lanes, each with its own scratch (a spectral
+workspace and two product buffers).  With two, the calling thread runs
+the even jobs on lane 0 and one worker thread the odd jobs on lane 1
+(pocketfft and numpy release the GIL), and each phase ends when both
+lanes are done.  A job reads only inputs that no job writes and writes
+only its lane's scratch and its own output (a physical array, or a row
+of F), and it does the same arithmetic on the same operands on either
+lane, so the result is bit for bit that of one lane.  Two lanes are
+taken when the process may run on two CPUs and a component has at least
+_LANE_MIN_POINTS points; the worker is made on first use, once per
+process (a forked child makes its own).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +130,36 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
 # on the retained band.
 
 
+# Components with fewer points take one lane: there the handoff to the
+# worker costs about what the split saves.  Median ms per physical
+# nonlinear evaluation on 2 vCPUs, one lane -> two: 2D n = 64 0.67 -> 0.94,
+# 3D n = 24 1.67 -> 1.78, 2D n = 128 1.70 -> 1.58, 3D n = 64 22.5 -> 14.8;
+# at 3D n = 32 the per-call timings scatter, but whole runs gain.
+_LANE_MIN_POINTS = 32768
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _lane1_pool() -> ThreadPoolExecutor:
+    """The worker thread that runs lane 1, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="hallmhd-lane1")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has no copy of the parent's worker thread, so a job
+    # given to the inherited pool would never run: the child makes its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _c2c_in_place(fn, view: np.ndarray, axis: int) -> None:
     """1D complex transform of `view` along `axis`, written back into it
     (overwrite_x lets scipy.fft work in place; it does not promise to)."""
@@ -119,10 +168,25 @@ def _c2c_in_place(fn, view: np.ndarray, axis: int) -> None:
         view[...] = out
 
 
+class _Lane:
+    """Scratch of one thread of a stepper: the spectral workspace, with
+    views of the lines the inverse passes transform and of the off-band
+    lines they fill, and two physical product buffers."""
+
+    def __init__(self, grid: GridSpec, inv_idx: list, off_idx: list):
+        self.wk = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        self.inv_lines = [[self.wk[i] for i in lines] for lines in inv_idx]
+        self.off_band = [self.wk[i] for i in off_idx]
+        self.buf = np.empty(grid.physical_shape)
+        self.buf2 = np.empty(grid.physical_shape)
+
+
 class _Stepper3D:
     """Compact-band workspace for one (grid, params, dt, formulation);
-    the grid is 3D, or 2D with k3 = 0.  Owns scratch buffers: not
-    shareable across threads; one advancing agent per evolved state."""
+    the grid is 3D, or 2D with k3 = 0.  The band geometry, integrating
+    factors and product table F are shared; the transform scratch is per
+    lane (module docstring).  A nonlinear evaluation uses every lane, so
+    one stepper serves one advancing agent at a time."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, extended: bool):
         self.grid = grid
@@ -151,8 +215,6 @@ class _Stepper3D:
         self.Eb = np.exp(-params.nu * k2 * dt)
         nprod = 12 if extended else 9
         self.F = np.empty((nprod, m), dtype=np.complex128)
-        self.buf = np.empty(grid.physical_shape)
-        self.buf2 = np.empty(grid.physical_shape)
         self.m = m
 
         # Pruned band transforms.  A compact row is the C-order flattening
@@ -175,15 +237,16 @@ class _Stepper3D:
         # forward pass a: band rows on axes < a, whole axes from a on
         self.fwd_lines = [[h + (whole,) * (nfull - a) + kz for h in heads[a]]
                           for a in range(nfull)]
-        # spectral workspace, zero outside the band lines between calls
-        self.wk = np.zeros(spec, dtype=np.complex128)
         # inverse pass a: whole axes up to a, band rows after it; the
-        # passes fill the off-band lines, which are zeroed after the call
-        self.inv_lines = [[self.wk[(whole,) * (a + 1) + t + kz]
-                           for t in itertools.product(band, repeat=nfull - a - 1)]
-                          for a in range(nfull)]
-        self.off_band = [self.wk[h + (mid,) + (whole,) * (nfull - a - 1) + kz]
-                         for a in range(nfull) for h in heads[a]]
+        # passes fill the off-band lines, which each inverse job clears first
+        inv_idx = [[(whole,) * (a + 1) + t + kz
+                    for t in itertools.product(band, repeat=nfull - a - 1)]
+                   for a in range(nfull)]
+        off_idx = [h + (mid,) + (whole,) * (nfull - a - 1) + kz
+                   for a in range(nfull) for h in heads[a]]
+        big = np.prod(grid.physical_shape) >= _LANE_MIN_POINTS
+        nlanes = 2 if big and len(os.sched_getaffinity(0)) >= 2 else 1
+        self.lanes = [_Lane(grid, inv_idx, off_idx) for _ in range(nlanes)]
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 
@@ -196,41 +259,53 @@ class _Stepper3D:
         c.reshape(3, -1)[:, self.idx] = comp
         return SpectralField(self.grid, c)
 
-    def to_phys(self, comp: np.ndarray) -> list[np.ndarray]:
-        """Compact (3, m) coefficients -> three physical arrays."""
-        w, n = self.wk, self.grid.n
-        out = []
-        for i in range(3):
-            blk = comp[i].reshape(self.block)
-            for lat, pos in self.slabs:
-                w[lat] = blk[pos]
-            for axis, lines in enumerate(self.inv_lines):
-                for view in lines:
-                    _c2c_in_place(sfft.ifft, view, axis)
-            out.append(sfft.irfftn(w, s=(n,), axes=(-1,), norm="forward"))
-            for view in self.off_band:
-                view[...] = 0.0
+    def _run(self, job, args: list[tuple]) -> list:
+        """[job(lane, *a) for a in args], job i on lane i % len(lanes):
+        lane 0 in this thread, lane 1 on the worker.  Returns or raises
+        only once both lanes are done, so no job of a failed call is left
+        writing into F or a lane's scratch."""
+        out = [None] * len(args)
+
+        def run_lane(j):
+            lane = self.lanes[j]
+            for i in range(j, len(args), len(self.lanes)):
+                out[i] = job(lane, *args[i])
+
+        futures = [_lane1_pool().submit(run_lane, 1)] if len(self.lanes) == 2 else []
+        try:
+            run_lane(0)
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
         return out
 
-    def _fwd(self, row: int) -> None:
-        """Transform self.buf (cache-hot product) into compact row of F."""
-        r = sfft.rfftn(self.buf, axes=(-1,), norm="forward")
+    def _inverse(self, lane: _Lane, row: np.ndarray) -> np.ndarray:
+        """Compact coefficients of one component -> its physical array."""
+        w = lane.wk
+        for view in lane.off_band:  # cleared first: a failed job leaves no residue
+            view[...] = 0.0
+        blk = row.reshape(self.block)
+        for lat, pos in self.slabs:
+            w[lat] = blk[pos]
+        for axis, lines in enumerate(lane.inv_lines):
+            for view in lines:
+                _c2c_in_place(sfft.ifft, view, axis)
+        return sfft.irfftn(w, s=(self.grid.n,), axes=(-1,), norm="forward")
+
+    def _forward(self, lane: _Lane, row: int, p, q, r, s) -> None:
+        """Row `row` of F: the band coefficients of p q - r s."""
+        buf, buf2 = lane.buf, lane.buf2
+        np.multiply(p, q, out=buf)
+        np.multiply(r, s, out=buf2)
+        buf -= buf2
+        c = sfft.rfftn(buf, axes=(-1,), norm="forward")
         for axis, lines in enumerate(self.fwd_lines):
             for idx in lines:
-                _c2c_in_place(sfft.fft, r[idx], axis)
+                _c2c_in_place(sfft.fft, c[idx], axis)
         blk = self.F[row].reshape(self.block)
         for lat, pos in self.slabs:
-            blk[pos] = r[lat]
-
-    def _fwd_cross(self, row: int, a: list, b: list) -> None:
-        """Rows row..row+2 of F: the transform of a x b."""
-        buf, buf2 = self.buf, self.buf2
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            np.multiply(a[j], b[k], out=buf)
-            np.multiply(a[k], b[j], out=buf2)
-            buf -= buf2
-            self._fwd(row + i)
+            blk[pos] = c[lat]
 
     def _curl(self, c: np.ndarray) -> np.ndarray:
         ik = self.ik
@@ -278,34 +353,32 @@ class _Stepper3D:
     def nonlinear(self, uc, Bc, vc=None, with_maxes: bool = True):
         """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
         maxima propagate NaN (np.max, unlike Python max over components)."""
-        F = self.F
-        up = self.to_phys(uc)
-        Bp = self.to_phys(Bc)
+        eps = self.params.eps
+        comps = [*uc, *Bc, *(uc - eps * self._curl(Bc))]  # E = u - eps curl B
+        if self.extended:
+            comps += [*vc]
+        phys = self._run(self._inverse, [(c,) for c in comps])
+        del comps  # E's coefficients are not needed past phase 1
+        up, Bp, Ep, vp = phys[0:3], phys[3:6], phys[6:9], phys[9:]
         umax = bmax = 0.0
         if with_maxes:
             umax = float(np.max([np.abs(p).max() for p in up]))
             bmax = float(np.max([np.abs(p).max() for p in Bp]))
 
         # rows 0..5: T = B (x) B - u (x) u; on the band P div T is the
-        # Lorentz force minus advection, for both formulations
-        for row, (i, j) in enumerate(_SYM):
-            np.multiply(Bp[i], Bp[j], out=self.buf)
-            np.multiply(up[i], up[j], out=self.buf2)
-            self.buf -= self.buf2
-            self._fwd(row)
-        eps = self.params.eps
-        Ep = self.to_phys(uc - eps * self._curl(Bc))  # E = u - eps curl B
-
-        if not self.extended:
-            # rows 6..8: E x B; its curl is dB/dt
-            self._fwd_cross(6, Ep, Bp)
-            return self._force(), self._curl(F[6:9]), umax, bmax
-
-        # rows 6..8: v x B, whose curl is dB/dt; rows 9..11: v x E, and
+        # Lorentz force minus advection, for both formulations.  Then
+        # rows 6..8 (and 9..11) of a x b: E x B, whose curl is dB/dt; or
+        # v x B, whose curl is dB/dt, and v x E, with
         # dv/dt = P div T + curl(v x E - eps curl(v x B)) (module docstring)
-        vp = self.to_phys(vc)
-        self._fwd_cross(6, vp, Bp)
-        self._fwd_cross(9, vp, Ep)
+        rows = [(Bp[i], Bp[j], up[i], up[j]) for i, j in _SYM]
+        for a, b in [(vp, Bp), (vp, Ep)] if self.extended else [(Ep, Bp)]:
+            rows += [(a[(i + 1) % 3], b[(i + 2) % 3], a[(i + 2) % 3], b[(i + 1) % 3])
+                     for i in range(3)]
+        self._run(self._forward, [(row,) + pqrs for row, pqrs in enumerate(rows)])
+
+        F = self.F
+        if not self.extended:
+            return self._force(), self._curl(F[6:9]), umax, bmax
         NB = self._curl(F[6:9])
         Nv = self._curl(F[9:12] - eps * NB)
         force = self._force()

@@ -1,6 +1,12 @@
 """3D solver: the structure of the full-lattice reference RHS (oracle3d),
 the stepper against it, stepping accuracy, scaling covariance."""
 
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -313,14 +319,15 @@ class TestBandTransforms:
         sp = self.stepper(dim, n)
         g = sp.grid
         rng = np.random.default_rng(n + dim)
+        lane = sp.lanes[0]
+        one, zero = np.ones(g.physical_shape), np.zeros(g.physical_shape)
         # two calls, so a workspace left dirty by the first shows in the second
         for _ in range(2):
             comp = rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
-            got = np.stack(sp.to_phys(comp))
+            got = np.stack([sp._inverse(lane, c) for c in comp])
             want = to_physical(g, sp.scatter_field(comp).c)
             values = rng.standard_normal(g.physical_shape)
-            sp.buf[...] = values
-            sp._fwd(0)
+            sp._forward(lane, 0, values, one, zero, zero)  # values * 1 - 0 * 0
             want_c = sp.gather(to_spectral(g, values[None]))[0]
             if n & (n - 1) == 0:  # power-of-two scaling: bit for bit
                 assert np.array_equal(got, want)
@@ -334,26 +341,137 @@ class TestBandTransforms:
     ])
     def test_transform_budget(self, monkeypatch, dim, extended, budget):
         """Forward and inverse scipy.fft calls per nonlinear evaluation:
-        one single-axis transform per transformed component."""
-        g = GridSpec.create(dim, 16)
-        sp = s3._Stepper3D(g, P1, 1e-3, extended)
-        rng = np.random.default_rng(3)
-        fields = [rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
-                  for _ in range(3 if extended else 2)]
-        calls = {"rfftn": 0, "irfftn": 0}
+        one single-axis transform per transformed component, on one lane
+        (N = 16) or split over two (3D N = 32)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = {"rfftn": [], "irfftn": []}  # list.append: safe from both lanes
 
         def counting(name):
             fn = getattr(scipy.fft, name)
 
             def wrapped(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(None)
                 return fn(*args, **kwargs)
             return wrapped
 
         for name in calls:
             monkeypatch.setattr(scipy.fft, name, counting(name))
-        sp.nonlinear(*fields)
-        assert (calls["rfftn"], calls["irfftn"]) == budget
+        for n, lanes in [(16, 1)] + ([(32, 2)] if dim == 3 else []):
+            sp = s3._Stepper3D(GridSpec.create(dim, n), P1, 1e-3, extended)
+            assert len(sp.lanes) == lanes
+            rng = np.random.default_rng(3)
+            fields = [rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
+                      for _ in range(3 if extended else 2)]
+            for c in calls.values():
+                c.clear()
+            sp.nonlinear(*fields)
+            assert (len(calls["rfftn"]), len(calls["irfftn"])) == budget, n
+
+
+class TestLanes:
+    """Two lanes give one lane's results bit for bit; the lane count
+    follows the allowed CPUs and the component size; a failed job and a
+    fork leave the stepper usable."""
+
+    @staticmethod
+    def stepper(monkeypatch, cpus, grid, params=P1, extended=False):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return s3._Stepper3D(grid, params, 1e-3, extended)
+
+    @staticmethod
+    def fields(sp):
+        st = small_random_state(sp.grid, amplitude=0.2, extended=sp.extended, params=sp.params)
+        return [sp.gather(f.c) for f in (st.u, st.B, st.v) if f is not None]
+
+    @staticmethod
+    def assert_same(a, b):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n, formulation, params", [
+        (32, "physical", PhysicalParams(1.0, 0.7, 1.0)),
+        (32, "extended", P1),
+        (48, "physical", PhysicalParams(0.8, 1.0, 1.0)),
+        (48, "extended", P1),
+    ])
+    def test_two_lanes_match_one(self, monkeypatch, n, formulation, params):
+        g = GridSpec.create(3, n)
+        extended = formulation == "extended"
+        one = self.stepper(monkeypatch, 1, g, params, extended)
+        two = self.stepper(monkeypatch, 2, g, params, extended)
+        fields = self.fields(one)
+        assert (len(one.lanes), len(two.lanes)) == (1, 2)
+        self.assert_same(one.nonlinear(*fields), two.nonlinear(*fields))
+        control = StepControl(dt=1e-3, t_end=1.0)
+        a = b = fields
+        for _ in range(5):
+            a = one.advance(a, control, one.nonlinear(*a))
+            b = two.advance(b, control, two.nonlinear(*b))
+        self.assert_same(a, b)
+        assert not np.array_equal(a[0], fields[0])  # the steps moved the fields
+
+    @pytest.mark.parametrize("dim, n, cpus, lanes", [
+        (2, 64, 2, 1), (2, 64, 1, 1), (3, 16, 2, 1), (3, 32, 1, 1), (3, 32, 2, 2),
+    ])
+    def test_lane_count(self, monkeypatch, dim, n, cpus, lanes):
+        sp = self.stepper(monkeypatch, cpus, GridSpec.create(dim, n))
+        assert len(sp.lanes) == lanes
+
+    @pytest.mark.parametrize("bad_row", [3, 4], ids=["lane1", "lane0"])
+    def test_failed_job_waits_for_both_lanes(self, monkeypatch, bad_row):
+        """A job that raises propagates only once the other lane is done,
+        and the stepper's next evaluation equals a fresh stepper's."""
+        g = GridSpec.create(3, 32)
+        sp = self.stepper(monkeypatch, 2, g)
+        fields = self.fields(sp)
+        forward = s3._Stepper3D._forward
+        running, lock = [0], threading.Lock()
+
+        def failing(self, lane, row, *pqrs):
+            if row == bad_row:
+                raise RuntimeError(f"row {row}")
+            with lock:
+                running[0] += 1
+            time.sleep(0.02)  # the other lane is mid-job when the bad row fails
+            forward(self, lane, row, *pqrs)
+            with lock:
+                running[0] -= 1
+
+        monkeypatch.setattr(s3._Stepper3D, "_forward", failing)
+        with pytest.raises(RuntimeError, match=f"row {bad_row}"):
+            sp.nonlinear(*fields)
+        assert running[0] == 0
+        monkeypatch.setattr(s3._Stepper3D, "_forward", forward)
+        self.assert_same(sp.nonlinear(*fields), self.stepper(monkeypatch, 2, g).nonlinear(*fields))
+
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        """A child forked after a two-lane evaluation (so the parent's
+        worker exists) evaluates bit for bit as the parent, in time."""
+        sp = self.stepper(monkeypatch, 2, GridSpec.create(3, 32))
+        fields = self.fields(sp)
+        want = sp.nonlinear(*fields)
+        with warnings.catch_warnings():  # forking a threaded process warns on 3.12+
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # child: exit 0 if bit for bit, never running pytest's teardown
+            code = 2
+            try:
+                got = sp.nonlinear(*fields)
+                code = 0 if all(np.array_equal(x, y) for x, y in zip(got, want)) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its evaluation within 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestInitialData:
