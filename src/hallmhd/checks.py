@@ -154,7 +154,11 @@ def gronwall_suite() -> dict:
 def run_checks(n: int = 32, fields: int = 200, pairs: int = 100, seed: int = 0,
                probe_samples: int = 10, emit=print) -> bool:
     """Full static suite; prints one pass/fail line per block and returns
-    overall success."""
+    overall success.  Raises ValueError on a sample count below 1: a
+    suite over no samples would pass on nothing."""
+    for name, count in (("fields", fields), ("pairs", pairs), ("probe samples", probe_samples)):
+        if count < 1:
+            raise ValueError(f"need at least one of {name}, got {count}")
     ok = True
     tol = CHECK_TOLERANCES["operators"]
 

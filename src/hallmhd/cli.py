@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SnapshotFormatError, FileNotFoundError, ValueError) as e:
+    except (SnapshotFormatError, FileNotFoundError, IsADirectoryError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (NumericsError, FloatingPointError) as e:

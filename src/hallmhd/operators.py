@@ -28,9 +28,7 @@ __all__ = [
     "dealias",
     "divergence",
     "gradient",
-    "laplacian",
     "zero_mean",
-    "dilate",
     "spectral_pad",
 ]
 
@@ -160,34 +158,7 @@ def gradient(grid: GridSpec, c: np.ndarray) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    return f.with_coeffs(f.c * (-f.grid.k2))
-
-
 # lattice rescaling ------------------------------------------------------
-
-def dilate(f: SpectralField, lam: int) -> SpectralField:
-    """Spatial dilation x -> lam*x: mode k moves to lam*k (integer lam,
-    so the torus maps to itself).  Input support must fit the lattice."""
-    if int(lam) != lam or lam < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {lam}")
-    lam = int(lam)
-    if lam == 1:
-        return f.copy()
-    g = f.grid
-    n = g.n
-    out = np.zeros_like(f.c)
-    nz = np.argwhere(np.abs(f.c).max(axis=0) > 0)
-    for idx in nz:
-        k = [int(i) if ax == g.dim - 1 or i < n // 2 else int(i) - n
-             for ax, i in enumerate(idx)]
-        kk = [lam * ki for ki in k]
-        if any(not (-n // 2 < ki < n // 2) for ki in kk[:-1]) or kk[-1] >= n // 2:
-            raise ValueError(f"dilated mode {tuple(kk)} escapes the lattice (n={n})")
-        tgt = tuple(ki % n for ki in kk[:-1]) + (kk[-1],)
-        out[(slice(None),) + tgt] = f.c[(slice(None),) + tuple(idx)]
-    return f.with_coeffs(out)
-
 
 def spectral_pad(grid: GridSpec, c: np.ndarray, fine: GridSpec) -> np.ndarray:
     """Zero-pad stored coefficients onto a finer grid (same dim, larger n).

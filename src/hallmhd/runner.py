@@ -12,6 +12,7 @@ which step 1 reuses."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,23 +72,16 @@ def build_initial(cfg: RunConfig, grid: GridSpec, params: PhysicalParams) -> s3.
     return s3.make_state(u0, B0, params, extended=(cfg.formulation == "extended"))
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
-def _sanitize(obj):
-    """Strict-JSON form: non-finite floats become None."""
+def _strict(obj):
+    """Strict-JSON form: numpy scalars and arrays as Python numbers and
+    lists, non-finite floats as None."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -95,7 +89,7 @@ def _sanitize(obj):
 def write_json(path, obj) -> None:
     """Strict JSON (non-finite floats as null), sorted keys, indent 2."""
     with open(path, "w") as fh:
-        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -29,7 +29,9 @@ transforms, rewritten_B_rhs 1 inverse (j with lap B) and 5 forward:
 carried to the next E_residual, whose before-state it is when samples
 are one step apart.  Each _tilde_advect is one batched forward call;
 pocketfft transforms every slice of a batch as it would alone, so
-batching changes no bit.
+batching changes no bit.  The stepper batches the same way: below
+N = 128 a nonlinear evaluation makes one inverse and one forward call
+per pass, each over all nine components (solver3d).
 """
 
 from __future__ import annotations

@@ -44,21 +44,28 @@ bit for bit the full transforms.  Inverse: axis 0, axis 1, then the
 half-spectrum axis; forward: the half-spectrum axis, axis 0, axis 1
 (2D grids have no axis 1).
 
-An evaluation runs as two phases of independent jobs: first one inverse
-transform per component of u, B, E (and v); then, per row of the
-product table F, one pointwise product p q - r s and its forward
-transform (the six rows of T, then E x B, or v x B and v x E).  A
-stepper has one or two lanes, each with its own scratch (a spectral
-workspace and two product buffers).  With two, the calling thread runs
+An evaluation runs as two phases of independent jobs.  A job transforms
+a stack of g components along a leading axis, each 1D pass and each
+slab copy once per stack: first the inverse transforms of u, B, E (and
+v); then, for g rows of the product table F, the pointwise products
+p q - r s and their forward transforms (the six rows of T, then E x B,
+or v x B and v x E).  pocketfft transforms each line of a batch as it
+would transform it alone, so the stacking changes no bit.  The job plan
+follows the component size.  Below _LANE_MIN_POINTS points each phase
+is one job of all 9 or 12 components on one lane: on small grids the
+cost is in the calls, not in the lines.  At or above it every component
+is a job of its own, spread over one or two lanes.  A lane is a thread's
+scratch: a (g, *spectral_shape) workspace, a (g, *physical_shape)
+product buffer and one temporary.  With two, the calling thread runs
 the even jobs on lane 0 and one worker thread the odd jobs on lane 1
 (pocketfft and numpy release the GIL), and each phase ends when both
 lanes are done.  A job reads only inputs that no job writes and writes
-only its lane's scratch and its own output (a physical array, or a row
-of F), and it does the same arithmetic on the same operands on either
+only its lane's scratch and its own output (physical arrays, or rows of
+F), and it does the same arithmetic on the same operands on either
 lane, so the result is bit for bit that of one lane.  Two lanes are
-taken when the process may run on two CPUs and a component has at least
-_LANE_MIN_POINTS points; the worker is made on first use, once per
-process (a forked child makes its own).
+taken when the process may run on two CPUs and the components are big;
+the worker is made on first use, once per process (a forked child makes
+its own).
 """
 
 from __future__ import annotations
@@ -130,12 +137,16 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
 # on the retained band.
 
 
-# Components with fewer points take one lane: there the handoff to the
-# worker costs about what the split saves.  Median ms per physical
-# nonlinear evaluation on 2 vCPUs, one lane -> two: 2D n = 64 0.67 -> 0.94,
-# 3D n = 24 1.67 -> 1.78, 2D n = 128 1.70 -> 1.58, 3D n = 64 22.5 -> 14.8;
-# at 3D n = 32 the per-call timings scatter, but whole runs gain.
-_LANE_MIN_POINTS = 32768
+# Components with fewer points (2D n < 128, 3D n < 26) go on one lane, all
+# in one stack per phase: there a call costs more than its lines, and a
+# worker's handoff about what the split saves.  Median ms per physical
+# nonlinear evaluation on 2 vCPUs, one stack of all components (one lane)
+# / one component per job on one lane / on two lanes:
+#   2D n = 64   0.38 / 0.43 / 0.58     3D n = 16   0.34 / 0.60 / 0.78
+#   2D n = 128  1.22 / 1.00 / 0.78     3D n = 24   0.91 / 1.15 / 1.02
+#   3D n = 28   1.50 / 1.74 / 1.31     3D n = 32   1.85 / 2.08 / 1.43
+#   3D n = 64   22.4 / 16.8 / 10.9
+_LANE_MIN_POINTS = 16384
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -169,16 +180,17 @@ def _c2c_in_place(fn, view: np.ndarray, axis: int) -> None:
 
 
 class _Lane:
-    """Scratch of one thread of a stepper: the spectral workspace, with
-    views of the lines the inverse passes transform and of the off-band
-    lines they fill, and two physical product buffers."""
+    """Scratch of one thread of a stepper, for stacks of g components: the
+    (g, *spectral_shape) workspace, with views of the lines the inverse
+    passes transform and of the off-band lines they fill, the
+    (g, *physical_shape) product buffer and one physical temporary."""
 
-    def __init__(self, grid: GridSpec, inv_idx: list, off_idx: list):
-        self.wk = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    def __init__(self, grid: GridSpec, g: int, inv_idx: list, off_idx: list):
+        self.wk = np.zeros((g,) + grid.spectral_shape, dtype=np.complex128)
         self.inv_lines = [[self.wk[i] for i in lines] for lines in inv_idx]
         self.off_band = [self.wk[i] for i in off_idx]
-        self.buf = np.empty(grid.physical_shape)
-        self.buf2 = np.empty(grid.physical_shape)
+        self.buf = np.empty((g,) + grid.physical_shape)
+        self.tmp = np.empty(grid.physical_shape)
 
 
 class _Stepper3D:
@@ -217,12 +229,13 @@ class _Stepper3D:
         self.F = np.empty((nprod, m), dtype=np.complex128)
         self.m = m
 
-        # Pruned band transforms.  A compact row is the C-order flattening
-        # of the (2k+1, .., 2k+1, k+1) band block; a full axis stores the
-        # band at indices [0, k] and [n-k, n-1].  Each 1D pass transforms
-        # only lines that are not identically zero (inverse) or that the
-        # band keeps (forward), in the order irfftn/rfftn use, so the
-        # result equals the full transform plus scatter/gather.
+        # Pruned band transforms on stacks of components (leading axis).  A
+        # compact row is the C-order flattening of the (2k+1, .., 2k+1, k+1)
+        # band block; a full axis stores the band at indices [0, k] and
+        # [n-k, n-1].  Each 1D pass transforms only lines that are not
+        # identically zero (inverse) or that the band keeps (forward), in
+        # the order irfftn/rfftn use, so the result equals the full
+        # transform plus scatter/gather.
         n, k, nfull = grid.n, grid.n // 3, grid.dim - 1
         self.block = (2 * k + 1,) * nfull + (k + 1,)
         assert m == np.prod(self.block), "dealias mask is not the band block"
@@ -230,23 +243,28 @@ class _Stepper3D:
         pos = (slice(0, k + 1), slice(k + 1, 2 * k + 1))
         kz, whole, mid = (slice(0, k + 1),), slice(None), slice(k + 1, n - k)
         self.slabs = [  # (lattice index, block index) of each band slab
-            (tuple(band[c] for c in combo) + kz, tuple(pos[c] for c in combo))
+            ((whole,) + tuple(band[c] for c in combo) + kz,
+             (whole,) + tuple(pos[c] for c in combo))
             for combo in itertools.product((0, 1), repeat=nfull)
         ]
         heads = [list(itertools.product(band, repeat=a)) for a in range(nfull)]
         # forward pass a: band rows on axes < a, whole axes from a on
-        self.fwd_lines = [[h + (whole,) * (nfull - a) + kz for h in heads[a]]
+        self.fwd_lines = [[(whole,) + h + (whole,) * (nfull - a) + kz for h in heads[a]]
                           for a in range(nfull)]
         # inverse pass a: whole axes up to a, band rows after it; the
         # passes fill the off-band lines, which each inverse job clears first
-        inv_idx = [[(whole,) * (a + 1) + t + kz
+        inv_idx = [[(whole,) * (a + 2) + t + kz
                     for t in itertools.product(band, repeat=nfull - a - 1)]
                    for a in range(nfull)]
-        off_idx = [h + (mid,) + (whole,) * (nfull - a - 1) + kz
+        off_idx = [(whole,) + h + (mid,) + (whole,) * (nfull - a - 1) + kz
                    for a in range(nfull) for h in heads[a]]
+        # Job plan: a component of at least _LANE_MIN_POINTS points is a job
+        # of its own, on two lanes when two CPUs are allowed; smaller ones
+        # go on one lane as one stack of all components per phase.
         big = np.prod(grid.physical_shape) >= _LANE_MIN_POINTS
         nlanes = 2 if big and len(os.sched_getaffinity(0)) >= 2 else 1
-        self.lanes = [_Lane(grid, inv_idx, off_idx) for _ in range(nlanes)]
+        self.stack = 1 if big else nprod
+        self.lanes = [_Lane(grid, self.stack, inv_idx, off_idx) for _ in range(nlanes)]
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 
@@ -280,30 +298,33 @@ class _Stepper3D:
             f.result()
         return out
 
-    def _inverse(self, lane: _Lane, row: np.ndarray) -> np.ndarray:
-        """Compact coefficients of one component -> its physical array."""
+    def _inverse(self, lane: _Lane, rows: np.ndarray) -> np.ndarray:
+        """A (g, m) stack of compact rows -> their (g, *physical_shape)
+        arrays."""
         w = lane.wk
         for view in lane.off_band:  # cleared first: a failed job leaves no residue
             view[...] = 0.0
-        blk = row.reshape(self.block)
+        blk = rows.reshape((self.stack,) + self.block)
         for lat, pos in self.slabs:
             w[lat] = blk[pos]
         for axis, lines in enumerate(lane.inv_lines):
             for view in lines:
-                _c2c_in_place(sfft.ifft, view, axis)
+                _c2c_in_place(sfft.ifft, view, axis + 1)
         return sfft.irfftn(w, s=(self.grid.n,), axes=(-1,), norm="forward")
 
-    def _forward(self, lane: _Lane, row: int, p, q, r, s) -> None:
-        """Row `row` of F: the band coefficients of p q - r s."""
-        buf, buf2 = lane.buf, lane.buf2
-        np.multiply(p, q, out=buf)
-        np.multiply(r, s, out=buf2)
-        buf -= buf2
+    def _forward(self, lane: _Lane, row0: int, quads: list[tuple]) -> None:
+        """Rows row0 .. row0 + g - 1 of F: the band coefficients of the g
+        products p q - r s, one per (p, q, r, s) in `quads`."""
+        buf, tmp = lane.buf, lane.tmp
+        for b, (p, q, r, s) in zip(buf, quads, strict=True):
+            np.multiply(p, q, out=b)
+            np.multiply(r, s, out=tmp)
+            b -= tmp
         c = sfft.rfftn(buf, axes=(-1,), norm="forward")
         for axis, lines in enumerate(self.fwd_lines):
             for idx in lines:
-                _c2c_in_place(sfft.fft, c[idx], axis)
-        blk = self.F[row].reshape(self.block)
+                _c2c_in_place(sfft.fft, c[idx], axis + 1)
+        blk = self.F[row0:row0 + self.stack].reshape((self.stack,) + self.block)
         for lat, pos in self.slabs:
             blk[pos] = c[lat]
 
@@ -354,11 +375,15 @@ class _Stepper3D:
         """Compact nonlinear RHS; returns (Nu, NB[, Nv], umax, bmax).  The
         maxima propagate NaN (np.max, unlike Python max over components)."""
         eps = self.params.eps
-        comps = [*uc, *Bc, *(uc - eps * self._curl(Bc))]  # E = u - eps curl B
+        parts = [uc, Bc, uc - eps * self._curl(Bc)]  # E = u - eps curl B
         if self.extended:
-            comps += [*vc]
-        phys = self._run(self._inverse, [(c,) for c in comps])
-        del comps  # E's coefficients are not needed past phase 1
+            parts.append(vc)
+        if self.stack == 1:  # views of one component each: big rows are not copied
+            stacks = [p[i:i + 1] for p in parts for i in range(3)]
+        else:
+            stacks = [np.concatenate(parts)]
+        phys = [a for out in self._run(self._inverse, [(s,) for s in stacks]) for a in out]
+        del parts, stacks  # E's coefficients are not needed past phase 1
         up, Bp, Ep, vp = phys[0:3], phys[3:6], phys[6:9], phys[9:]
         umax = bmax = 0.0
         if with_maxes:
@@ -374,7 +399,8 @@ class _Stepper3D:
         for a, b in [(vp, Bp), (vp, Ep)] if self.extended else [(Ep, Bp)]:
             rows += [(a[(i + 1) % 3], b[(i + 2) % 3], a[(i + 2) % 3], b[(i + 1) % 3])
                      for i in range(3)]
-        self._run(self._forward, [(row,) + pqrs for row, pqrs in enumerate(rows)])
+        g = self.stack
+        self._run(self._forward, [(r, rows[r:r + g]) for r in range(0, len(rows), g)])
 
         F = self.F
         if not self.extended:

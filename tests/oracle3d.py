@@ -4,7 +4,8 @@ They follow the equations of solver3d term by term, on the whole
 half-spectrum, with each quadratic term formed by collocation and
 dealiased by the two-thirds rule.  The library's stepper regroups the
 same terms on the compact dealias band; the tests hold it to these
-references.
+references.  Also here: the Laplacian and the lattice dilation, two
+spectral operators only the tests use.
 """
 
 from __future__ import annotations
@@ -12,11 +13,38 @@ from __future__ import annotations
 import numpy as np
 
 from hallmhd.fields import SpectralField
-from hallmhd.operators import band_filter, curl3, dilate, leray_project, to_physical, to_spectral
+from hallmhd.operators import band_filter, curl3, leray_project, to_physical, to_spectral
 from hallmhd.params import PhysicalParams
 from hallmhd.solver3d import SimState3D
 
 _SYM = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def laplacian(f: SpectralField) -> SpectralField:
+    return f.with_coeffs(f.c * (-f.grid.k2))
+
+
+def dilate(f: SpectralField, lam: int) -> SpectralField:
+    """Spatial dilation x -> lam*x: mode k moves to lam*k (integer lam,
+    so the torus maps to itself).  Input support must fit the lattice."""
+    if int(lam) != lam or lam < 1:
+        raise ValueError(f"dilation factor must be a positive integer, got {lam}")
+    lam = int(lam)
+    if lam == 1:
+        return f.copy()
+    g = f.grid
+    n = g.n
+    out = np.zeros_like(f.c)
+    nz = np.argwhere(np.abs(f.c).max(axis=0) > 0)
+    for idx in nz:
+        k = [int(i) if ax == g.dim - 1 or i < n // 2 else int(i) - n
+             for ax, i in enumerate(idx)]
+        kk = [lam * ki for ki in k]
+        if any(not (-n // 2 < ki < n // 2) for ki in kk[:-1]) or kk[-1] >= n // 2:
+            raise ValueError(f"dilated mode {tuple(kk)} escapes the lattice (n={n})")
+        tgt = tuple(ki % n for ki in kk[:-1]) + (kk[-1],)
+        out[(slice(None),) + tgt] = f.c[(slice(None),) + tuple(idx)]
+    return f.with_coeffs(out)
 
 
 def hall_pair(J: SpectralField, B: SpectralField, eps: float) -> SpectralField:

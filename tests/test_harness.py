@@ -446,6 +446,22 @@ class TestCli:
         assert cli.main(["run", "--config", str(bad)]) == 2
         assert cli.main(["inspect", str(tmp_path / "missing.hmhd")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--fields", "0"], ["--fields", "-3"], ["--pairs", "0"], ["--probe-samples", "0"],
+    ], ids=lambda a: "".join(a))
+    def test_check_without_samples_exit_2(self, argv, capsys):
+        """A suite over no samples is an input error, not a pass."""
+        assert cli.main(["check", "--n", "16", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err.startswith("input error: need at least one")
+
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        assert cli.main(["inspect", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert cli.main(["run", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch):
         import hallmhd.cli as climod
 

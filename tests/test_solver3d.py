@@ -319,30 +319,35 @@ class TestBandTransforms:
         sp = self.stepper(dim, n)
         g = sp.grid
         rng = np.random.default_rng(n + dim)
-        lane = sp.lanes[0]
+        lane, stack = sp.lanes[0], sp.stack
         one, zero = np.ones(g.physical_shape), np.zeros(g.physical_shape)
         # two calls, so a workspace left dirty by the first shows in the second
         for _ in range(2):
-            comp = rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
-            got = np.stack([sp._inverse(lane, c) for c in comp])
-            want = to_physical(g, sp.scatter_field(comp).c)
-            values = rng.standard_normal(g.physical_shape)
-            sp._forward(lane, 0, values, one, zero, zero)  # values * 1 - 0 * 0
-            want_c = sp.gather(to_spectral(g, values[None]))[0]
+            comp = rng.standard_normal((stack, sp.m)) + 1j * rng.standard_normal((stack, sp.m))
+            got = sp._inverse(lane, comp)
+            full = np.zeros((stack,) + g.spectral_shape, dtype=np.complex128)
+            full.reshape(stack, -1)[:, sp.idx] = comp
+            want = to_physical(g, full)
+            values = rng.standard_normal((stack,) + g.physical_shape)
+            sp._forward(lane, 0, [(v, one, zero, zero) for v in values])  # v * 1 - 0 * 0
+            want_c = sp.gather(to_spectral(g, values))
             if n & (n - 1) == 0:  # power-of-two scaling: bit for bit
                 assert np.array_equal(got, want)
-                assert np.array_equal(sp.F[0], want_c)
+                assert np.array_equal(sp.F[:stack], want_c)
             else:  # the forward normalization is applied per axis
                 assert rel_err(got, want) <= 1e-15
-                assert rel_err(sp.F[0], want_c) <= 1e-15
+                assert rel_err(sp.F[:stack], want_c) <= 1e-15
 
-    @pytest.mark.parametrize("dim, extended, budget", [
-        (3, False, (9, 9)), (2, False, (9, 9)), (3, True, (12, 12)),
+    @pytest.mark.parametrize("dim, extended, budget", [  # {n: (rfftn, irfftn) calls}
+        (3, False, {16: (1, 1), 32: (9, 9)}),
+        (2, False, {16: (1, 1), 64: (1, 1)}),
+        (3, True, {16: (1, 1), 32: (12, 12)}),
     ])
     def test_transform_budget(self, monkeypatch, dim, extended, budget):
         """Forward and inverse scipy.fft calls per nonlinear evaluation:
-        one single-axis transform per transformed component, on one lane
-        (N = 16) or split over two (3D N = 32)."""
+        one single-axis transform of every component at once on one lane
+        (2D, 3D N = 16), or one per component split over two lanes (3D
+        N = 32)."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         calls = {"rfftn": [], "irfftn": []}  # list.append: safe from both lanes
 
@@ -356,16 +361,16 @@ class TestBandTransforms:
 
         for name in calls:
             monkeypatch.setattr(scipy.fft, name, counting(name))
-        for n, lanes in [(16, 1)] + ([(32, 2)] if dim == 3 else []):
+        for n, counts in budget.items():
             sp = s3._Stepper3D(GridSpec.create(dim, n), P1, 1e-3, extended)
-            assert len(sp.lanes) == lanes
+            assert len(sp.lanes) == (2 if n == 32 else 1)
             rng = np.random.default_rng(3)
             fields = [rng.standard_normal((3, sp.m)) + 1j * rng.standard_normal((3, sp.m))
                       for _ in range(3 if extended else 2)]
             for c in calls.values():
                 c.clear()
             sp.nonlinear(*fields)
-            assert (len(calls["rfftn"]), len(calls["irfftn"])) == budget, n
+            assert (len(calls["rfftn"]), len(calls["irfftn"])) == counts, n
 
 
 class TestLanes:
@@ -379,8 +384,9 @@ class TestLanes:
         return s3._Stepper3D(grid, params, 1e-3, extended)
 
     @staticmethod
-    def fields(sp):
-        st = small_random_state(sp.grid, amplitude=0.2, extended=sp.extended, params=sp.params)
+    def fields(sp, amplitude=0.2):
+        st = small_random_state(sp.grid, amplitude=amplitude, extended=sp.extended,
+                                params=sp.params)
         return [sp.gather(f.c) for f in (st.u, st.B, st.v) if f is not None]
 
     @staticmethod
@@ -428,13 +434,13 @@ class TestLanes:
         forward = s3._Stepper3D._forward
         running, lock = [0], threading.Lock()
 
-        def failing(self, lane, row, *pqrs):
+        def failing(self, lane, row, quads):
             if row == bad_row:
                 raise RuntimeError(f"row {row}")
             with lock:
                 running[0] += 1
             time.sleep(0.02)  # the other lane is mid-job when the bad row fails
-            forward(self, lane, row, *pqrs)
+            forward(self, lane, row, quads)
             with lock:
                 running[0] -= 1
 
@@ -472,6 +478,105 @@ class TestLanes:
             os.waitpid(pid, 0)
             pytest.fail("the forked child did not finish its evaluation within 30 s")
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestBatching:
+    """Below _LANE_MIN_POINTS points per component each phase is one job
+    that transforms all components at once; its results are bit for bit
+    those of one component per job."""
+
+    stepper = staticmethod(TestLanes.stepper)
+    fields = staticmethod(TestLanes.fields)
+    assert_same = staticmethod(TestLanes.assert_same)
+
+    @pytest.mark.parametrize("dim, n, formulation, params", [
+        (2, 32, "physical", PhysicalParams(1.0, 0.7, 1.0)),
+        (2, 64, "physical", PhysicalParams(0.8, 1.0, 1.0)),
+        (3, 16, "physical", PhysicalParams(1.0, 0.7, 1.0)),
+        (3, 16, "extended", P1),
+        (3, 24, "physical", PhysicalParams(0.8, 1.0, 1.0)),
+        (3, 24, "extended", P1),
+    ])
+    def test_batched_matches_one_component_per_job(self, monkeypatch, dim, n, formulation,
+                                                   params):
+        g = GridSpec.create(dim, n)
+        extended = formulation == "extended"
+        batched = self.stepper(monkeypatch, 2, g, params, extended)
+        monkeypatch.setattr(s3, "_LANE_MIN_POINTS", 1)  # every component is big
+        single = self.stepper(monkeypatch, 1, g, params, extended)
+        assert (batched.stack, single.stack) == (12 if extended else 9, 1)
+        assert len(batched.lanes) == len(single.lanes) == 1
+        fields = self.fields(batched, amplitude=0.05)
+        self.assert_same(batched.nonlinear(*fields), single.nonlinear(*fields))
+        control = StepControl(dt=1e-3, t_end=1.0)
+        a = b = fields
+        for _ in range(5):
+            a = batched.advance(a, control, batched.nonlinear(*a))
+            b = single.advance(b, control, single.nonlinear(*b))
+        self.assert_same(a, b)
+        assert not np.array_equal(a[0], fields[0])  # the steps moved the fields
+
+    @pytest.mark.parametrize("dim, n, extended, cpus, lanes, stack", [
+        (2, 64, False, 2, 1, 9),
+        (2, 128, False, 2, 2, 1),
+        (3, 16, False, 2, 1, 9),
+        (3, 16, True, 2, 1, 12),
+        (3, 24, False, 2, 1, 9),
+        (3, 24, True, 2, 1, 12),
+        (3, 32, False, 2, 2, 1),
+        (3, 32, True, 2, 2, 1),
+        (3, 32, False, 1, 1, 1),
+        (3, 32, True, 1, 1, 1),
+    ])
+    def test_job_plan(self, monkeypatch, dim, n, extended, cpus, lanes, stack):
+        """Lanes, components per job and jobs per phase of one evaluation."""
+        sp = self.stepper(monkeypatch, cpus, GridSpec.create(dim, n), extended=extended)
+        assert (len(sp.lanes), sp.stack) == (lanes, stack)
+        jobs = {"_inverse": [], "_forward": []}  # list.append: safe from both lanes
+
+        def counting(name):
+            fn = getattr(s3._Stepper3D, name)
+
+            def wrapped(self, lane, *args):
+                jobs[name].append(sp.lanes.index(lane))
+                return fn(self, lane, *args)
+            return wrapped
+
+        for name in jobs:
+            monkeypatch.setattr(s3._Stepper3D, name, counting(name))
+        sp.nonlinear(*self.fields(sp, amplitude=0.05))
+        ncomp = 12 if extended else 9
+        for name, on in jobs.items():
+            assert sorted(on) == sorted(i % lanes for i in range(ncomp // stack)), name
+
+    @pytest.mark.parametrize("dim, n, extended, fn, nth", [
+        (2, 64, False, "ifft", 1),
+        (2, 64, False, "fft", 1),
+        (3, 16, False, "ifft", 3),
+        (3, 16, True, "fft", 3),
+    ])
+    def test_failed_job_leaves_no_residue(self, monkeypatch, dim, n, extended, fn, nth):
+        """A stacked job that fails at its last pruned pass (in 3D after
+        the earlier passes filled the off-band lines) leaves the next
+        evaluation equal to a fresh stepper's."""
+        g = GridSpec.create(dim, n)
+        sp = self.stepper(monkeypatch, 2, g, extended=extended)
+        assert sp.stack > 1
+        fields = self.fields(sp, amplitude=0.05)
+        real, calls = getattr(scipy.fft, fn), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == nth:
+                raise RuntimeError(f"{fn} call {nth}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, fn, failing)
+        with pytest.raises(RuntimeError, match=f"{fn} call {nth}"):
+            sp.nonlinear(*fields)
+        monkeypatch.setattr(scipy.fft, fn, real)
+        self.assert_same(sp.nonlinear(*fields), self.stepper(monkeypatch, 2, g, extended=extended)
+                         .nonlinear(*fields))
 
 
 class TestInitialData:

@@ -5,7 +5,8 @@ between two versions of the library.
 
 Writes every artifact into OUT (which must not exist yet) and prints one
 `sha256  path` line per file, sorted by path.  The set: a 3D extended
-N = 64 run with periodic snapshots, the weak-strong-3d, small-data-2p5d,
+N = 64 run with periodic snapshots, a 3D physical N = 24 run with mu != nu
+and periodic snapshots, the weak-strong-3d, small-data-2p5d,
 freq-split-3d and threshold-bisect presets (cut short or at N = 16), three
 2.5D runs and two compute_budgets runs, the `check` output, `inspect` of a
 snapshot, and probe CSVs.  Takes about half a minute on one core.  Run it
@@ -29,6 +30,8 @@ RUNS = {
     "ext3d-n64": dict(dimension=3.0, formulation="extended", n=64, amplitude=0.1,
                       band_lo=1.0, band_hi=2.0, hall_cfl=0.5, dt=1e-3, t_end=0.01,
                       sample_every=25, snapshot_every=0.005, seed=11),
+    "phys3d-n24-mu-ne-nu": dict(dimension=3.0, n=24, mu=1.0, nu=0.6, amplitude=0.1,
+                                t_end=0.03, sample_every=5, snapshot_every=0.015, seed=3),
     "2p5d-n32": dict(dimension=2.5, n=32, t_end=0.2, sample_every=10),
     "2p5d-n16-mu-ne-nu": dict(dimension=2.5, n=16, mu=1.0, nu=0.5, t_end=0.1,
                               sample_every=3, seed=4),
