@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError("budget_s must be positive")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be nonnegative")
+        # at most one snapshot per step, so periodic ones are at least
+        # max(dt, snapshot_every - dt) apart; names snap_t{t:.6f} need > 1e-6
+        if self.snapshot_every > 0 and max(self.dt, self.snapshot_every - self.dt) <= 1e-6:
+            raise ConfigError("snapshot times can fall within 1e-6 of each other, "
+                              "and their names (t to 6 decimals) would collide")
         for f in dataclass_fields(self):
             if f.name.startswith("tol_") and getattr(self, f.name) < 0:
                 raise ConfigError(f"{f.name} must be nonnegative")

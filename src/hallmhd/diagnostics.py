@@ -40,7 +40,6 @@ __all__ = [
     "RECORD_COLUMNS",
     "write_records_csv",
     "budget_terms",
-    "budget_identity_residuals",
     "budget_residuals",
     "cancellation_check",
     "adjointness_check",
@@ -102,14 +101,6 @@ def write_records_csv(path, records: list[DiagnosticsRecord]) -> None:
         w.writerow(RECORD_COLUMNS)
         for r in records:
             w.writerow([repr(float(getattr(r, c))) for c in RECORD_COLUMNS])
-
-
-def read_records_csv(path) -> list[DiagnosticsRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != RECORD_COLUMNS:
-        raise ValueError("unexpected timeseries header")
-    return [DiagnosticsRecord(*(float(x) for x in row)) for row in rows[1:]]
 
 
 # budgets -----------------------------------------------------------------
@@ -182,20 +173,12 @@ def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> d
     }
 
 
-def budget_identity_residuals(state0: SimState3D, state1: SimState3D,
-                              params: PhysicalParams, s: float = 0.5) -> dict:
+def budget_residuals(b0: dict, b1: dict, h: float, params: PhysicalParams) -> dict:
     """Absolute residuals of the three budget identities on one snapshot
-    pair (centered difference in time, averaged terms); O(dt^2)."""
-    h = state1.t - state0.t
+    pair, from the budget_terms of the two snapshots, h apart in time
+    (centered difference in time, averaged terms); O(dt^2)."""
     if h <= 0:
         raise ValueError("snapshots must be time-ordered")
-    return budget_residuals(budget_terms(state0, params, s), budget_terms(state1, params, s),
-                            h, params)
-
-
-def budget_residuals(b0: dict, b1: dict, h: float, params: PhysicalParams) -> dict:
-    """budget_identity_residuals from the budget_terms of the two
-    snapshots, h apart in time."""
     avg = {k: 0.5 * (b0[k] + b1[k]) for k in b0}
     res_u = (b1["xu"] - b0["xu"]) / (2 * h) + params.mu * avg["yu"] - (avg["a1"] + avg["a2"])
     res_b = (b1["xb"] - b0["xb"]) / (2 * h) + params.mu * avg["yb"] - avg["a3"]
@@ -342,6 +325,8 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
     """
     if not twins:
         raise ValueError("weak-strong comparison needs at least one twin run")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     for uB, _ in twins:
         if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
             raise ValueError("twin runs must share the grid")

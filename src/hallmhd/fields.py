@@ -77,18 +77,6 @@ class SpectralField:
     def with_coeffs(self, c: np.ndarray) -> "SpectralField":
         return replace(self, c=c)
 
-    def copy(self) -> "SpectralField":
-        return replace(self, c=self.c.copy())
-
-    def coeff_at(self, k: tuple[int, ...]) -> np.ndarray:
-        """Coefficient vector at wavevector k, resolving conjugate storage."""
-        idx, conj = self.grid.index_of(k)
-        val = self.c[(slice(None),) + idx]
-        return np.conj(val) if conj else val.copy()
-
-    def mean_mode(self) -> np.ndarray:
-        return self.c[(slice(None),) + (0,) * self.grid.dim].copy()
-
     def divergence_residual(self) -> float:
         """max_k |k.c(k)| / ||c||, using the first two components in 2.5D."""
         g = self.grid

@@ -1,5 +1,5 @@
 """Linear spectral operators: fractional derivatives, curls, Leray
-projection, curl inverse, frequency filters, dealiasing.
+projection, curl inverse, frequency filters, gradients, padding.
 
 Every operator here is a homogeneous Fourier multiplier (symbol 0 at
 k = 0), acting mode-by-mode on the stored half-spectrum.  Scalar fields
@@ -25,8 +25,6 @@ __all__ = [
     "curl_inverse",
     "leray_project",
     "band_filter",
-    "dealias",
-    "divergence",
     "gradient",
     "zero_mean",
     "spectral_pad",
@@ -130,11 +128,6 @@ def band_filter(f: SpectralField, lo: float, hi: float) -> SpectralField:
     return f.with_coeffs(f.c * keep)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Two-thirds rule: zero every mode with any |k_i| > n/3."""
-    return f.with_coeffs(f.c * f.grid.dealias_mask)
-
-
 def zero_mean(f: SpectralField) -> SpectralField:
     c = f.c.copy()
     c[(slice(None),) + (0,) * f.grid.dim] = 0.0
@@ -142,13 +135,6 @@ def zero_mean(f: SpectralField) -> SpectralField:
 
 
 # scalar calculus --------------------------------------------------------
-
-def divergence(f: SpectralField) -> np.ndarray:
-    """ik . f_hat as a scalar coefficient array.  In 2.5D only the first
-    two components enter (tilde divergence)."""
-    g = f.grid
-    return sum(1j * g.kvec[i] * f.c[i] for i in range(g.dim))
-
 
 def gradient(grid: GridSpec, c: np.ndarray) -> SpectralField:
     """ik f_hat of a scalar; in 2.5D the third component is zero."""

@@ -48,7 +48,9 @@ class ProbeReport:
 _PROBE_BAND = 7.0  # n-independent: resolution doubling then isolates quadrature
 
 
-def _probe_grid(dim: int, n: int) -> GridSpec:
+def _probe_grid(dim: int, n: int, samples: int) -> GridSpec:
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if n < 32:
         raise ValueError("probe resolution must be >= 32")
     return GridSpec.create(dim, n)
@@ -144,10 +146,8 @@ def inequality_probe(inequality_id: str, samples: int, resolution: int,
     if inequality_id not in _REGISTRY:
         raise ValueError(f"unknown inequality {inequality_id!r}; "
                          f"registered: {registered_inequalities()}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     dim, fn = _REGISTRY[inequality_id]
-    grid = _probe_grid(dim, resolution)
+    grid = _probe_grid(dim, resolution, samples)
     ratios: list[float] = []
     skipped = 0
     for i in range(samples):
@@ -177,7 +177,7 @@ def kato_ponce_probe(s: float, p: float, p1: float, p2: float, p3: float, p4: fl
             raise ValueError(f"all exponents must lie in (1, inf), got {q}")
     if abs(1 / p - 1 / p1 - 1 / p2) > 1e-12 or abs(1 / p - 1 / p3 - 1 / p4) > 1e-12:
         raise ValueError("exponents must satisfy 1/p = 1/p1 + 1/p2 = 1/p3 + 1/p4")
-    grid = _probe_grid(dim, resolution)
+    grid = _probe_grid(dim, resolution, samples)
     comm_ratios: list[float] = []
     prod_ratios: list[float] = []
     skipped = 0

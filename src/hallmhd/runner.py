@@ -23,6 +23,7 @@ from . import solver25d as s25
 from . import solver3d as s3
 from .config import ConfigError, RunConfig
 from .diagnostics import (
+    RECORD_COLUMNS,
     DiagnosticsRecord,
     budget_residuals,
     budget_terms,
@@ -37,7 +38,7 @@ from .grid import GridSpec
 # no run path calls hs_norm; the name stays importable from here because
 # the benchmark's tracer (bench/child.py) wraps runner.hs_norm
 from .norms import hs_norm  # noqa: F401
-from .operators import band_filter
+from .operators import band_filter, to_physical
 from .params import CFLError, PhysicalParams, StepControl, required_dt, step_count
 from .snapshots import write_snapshot
 
@@ -168,10 +169,9 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     records = []
     for r in samples:
         records.append(DiagnosticsRecord(
-            t=r["t"],
+            **{col: r[col] for col in RECORD_COLUMNS if col in r},
             **{col: float(np.sqrt(r[key])) for col, key, _, _ in _NORM_COLUMNS},
             **{col: float(c[r["istep"]]) for col, c in zip(("diss_u", "diss_b", "diss_v"), cum)},
-            **{col: r.get(col, 0.0) for col in _OPTIONAL_COLUMNS},
         ))
         records[-1].validate()
 
@@ -192,15 +192,13 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     return RunResult(cfg, records, summary, out)
 
 
-# record columns: square roots of the sampled squared norms, as (column,
-# squared-norm key, field, s), and the columns a monitor may fill (0.0
-# where it does not)
+# record columns that are square roots of the sampled squared norms, as
+# (column, squared-norm key, field, s); the other columns are the sample
+# row's keys of the same name (0.0 where a monitor fills none)
 _NORM_COLUMNS = (("l2_u", "l2u2", "u", 0.0), ("l2_b", "l2b2", "B", 0.0),
                  ("h12_u", "h12u2", "u", 0.5), ("h12_b", "h12b2", "B", 0.5),
                  ("h12_v", "h12v2", "v", 0.5), ("h32_u", "h32u2", "u", 1.5),
                  ("h32_b", "h32b2", "B", 1.5), ("h32_v", "h32v2", "v", 1.5))
-_OPTIONAL_COLUMNS = tuple(f"a{i}" for i in range(1, 9)) + (
-    "cancellation", "v_drift", "v_weight", "w_weight", "e_residual")
 
 
 def _norm_row(session: s3.StepSession, vkey: str) -> dict:
@@ -321,12 +319,12 @@ class _Monitor25D:
     v-inequality, the B-H1 budget and the vorticity bound.
 
     Each sample inverse-transforms u and B once (one batched call) and
-    shares them between the E-law terms and the rewritten induction
-    equation; with the E-law terms of the previous sample carried over,
-    the certificates cost 7 forward and 3 inverse full-lattice transforms
-    per sample.  The dB/dt they are checked against is the session's
-    stage-1 term (rhs_25d with the session), which the next step reuses,
-    and the ~20 band norms of a sample take one magnitude per field."""
+    passes them to the E-law terms and the rewritten induction equation;
+    with the E-law terms of the previous sample carried over, the
+    certificates cost 7 forward and 3 inverse full-lattice transforms per
+    sample.  The dB/dt they are checked against is the session's stage-1
+    term (rhs_25d with the session), which the next step reuses, and the
+    ~20 band norms of a sample take one magnitude per field."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
@@ -358,23 +356,18 @@ class _Monitor25D:
             "om2": hs2("curl_u", 0.0),
             "w_weight": row["l2u2"] * h1u2 + float(np.sqrt(h1u2) * np.sqrt(h2u2)),
         })
-        phys = s25.physical_uB(st)
+        phys = to_physical(st.grid, np.stack([st.u.c, st.B.c]))
         e_res = 0.0
         if self.e_law:
             terms = s25.E_law_terms(st, params, phys[0])
+            if before is not None:  # the state one step before this sample
+                t0, (uc, Bc) = before
+                sp = self.session.sp
+                prev = s3.SimState3D(t0, sp.scatter_field(uc), sp.scatter_field(Bc))
+                self.terms = s25.E_law_terms(prev, params, prev.u.to_physical())
             if prev is not None:
-                if before is not None:
-                    t0, (uc, Bc) = before
-                    sp = self.session.sp
-                    prev = s3.SimState3D(t0, sp.scatter_field(uc), sp.scatter_field(Bc))
-                    prev_terms = s25.E_law_terms(prev, params)
-                else:
-                    prev_terms = self.terms
-                e_res = s25.E_residual(prev, st, params, st.t - prev.t,
-                                       terms=(prev_terms, terms))
-            # the next sample's before-state is this one unless the loop
-            # hands over the state one step before it
-            self.terms = None if self.step_before else terms
+                e_res = s25.E_residual(self.terms, terms, params, st.t - prev.t)
+            self.terms = terms
         row["e_residual"] = e_res
         _, dB = s25.rhs_25d(st, params, self.session)  # the next step's stage 1
         rw = s25.rewritten_B_rhs(st, params, phys)

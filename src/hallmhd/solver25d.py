@@ -9,8 +9,8 @@ System (all products dealiased, tilde = two-variable operators):
 with the current j = curl~ B, vorticity omega = curl~ u and the combined
 field E = eps omega + B formed where they are used.  When mu = nu, E
 satisfies the pure advection-diffusion equation dE/dt = E~.grad~ u -
-u~.grad~ E + mu lap~ E, which E_residual certifies on consecutive
-snapshots.
+u~.grad~ E + mu lap~ E, which E_residual certifies on the E_law_terms
+of consecutive snapshots.
 
 The system is the 3D physical formulation restricted to x3-independent
 fields, so a 2.5D state is a physical-formulation solver3d.SimState3D
@@ -18,8 +18,8 @@ on the 2D lattice, and the RHS and the step run on solver3d's
 compact-band stepper there (third wavevector zero).  In a run rhs_25d
 reads the StepSession's stage-1 term, which the session's next step
 reuses, so a sampled dB/dt costs no extra nonlinear evaluation.  The
-certificates here (rewritten_B_rhs, E_residual, identity_suite)
-evaluate the 2.5D forms independently on the full lattice.
+certificates (rewritten_B_rhs, E_residual on two E_law_terms) evaluate
+the 2.5D forms on the full lattice, from physical fields the caller passes.
 
 Certificate transform budget per sample of a run (mu = nu): the run's
 monitor inverse-transforms u and B in one batched call and passes them
@@ -51,11 +51,9 @@ __all__ = [
     "make_initial_25d",
     "rhs_25d",
     "rewritten_B_rhs",
-    "physical_uB",
     "step_25d",
     "E_law_terms",
     "E_residual",
-    "identity_suite",
 ]
 
 
@@ -105,14 +103,8 @@ def rhs_25d(state: s3.SimState3D, params: PhysicalParams,
     )
 
 
-def physical_uB(state: s3.SimState3D) -> np.ndarray:
-    """Physical u and B of a state as one (2, 3, n, n) array (one batched
-    inverse transform)."""
-    return to_physical(state.grid, np.stack([state.u.c, state.B.c]))
-
-
 def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,
-                    phys: np.ndarray | None = None) -> SpectralField:
+                    phys: np.ndarray) -> SpectralField:
     """dB/dt evaluated from the curl-identity rewriting
 
         dB/dt = -u~.grad~ B + B~.grad~ u
@@ -120,11 +112,11 @@ def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,
 
     which must agree with rhs_25d to roundoff; it cross-validates the
     advective assembly against an independent algebraic route.  `phys`
-    is the state's physical (u, B) (physical_uB) when the caller has it."""
+    is the state's physical (u, B), a (2, 3, n, n) array."""
     g = state.grid
     mask = g.dealias_mask
     eps = params.eps
-    up, Bp = physical_uB(state) if phys is None else phys
+    up, Bp = phys
     jp, lapBp = to_physical(g, np.stack([curl2(state.B).c, -g.k2 * state.B.c]))
 
     lapBxB = to_spectral(g, np.cross(lapBp, Bp, axis=0))
@@ -148,30 +140,23 @@ def step_25d(state: s3.SimState3D, params: PhysicalParams,
 
 
 def E_law_terms(state: s3.SimState3D, params: PhysicalParams,
-                up: np.ndarray | None = None) -> tuple[SpectralField, np.ndarray]:
+                up: np.ndarray) -> tuple[SpectralField, np.ndarray]:
     """(E, E~.grad~ u - u~.grad~ E + mu lap~ E) of one state: the combined
     field and the spatial side of its law, dealiased.  `up` is the
-    state's physical u when the caller has it."""
+    state's physical u."""
     g = state.grid
     E = params.eps * curl2(state.u) + state.B
     Ep = to_physical(g, E.c)
-    if up is None:
-        up = to_physical(g, state.u.c)
     adv = _tilde_advect(g, Ep, up) - _tilde_advect(g, up, Ep)
     return E, adv * g.dealias_mask - params.mu * g.k2 * E.c
 
 
-def E_residual(before: s3.SimState3D, after: s3.SimState3D, params: PhysicalParams,
-               dt: float, terms: tuple | None = None) -> float:
+def E_residual(terms0: tuple, terms1: tuple, params: PhysicalParams, dt: float) -> float:
     """Normalized residual of the combined-field advection-diffusion law
-    on two consecutive snapshots (centered time difference, midpoint
-    spatial terms).  Needs mu = nu.  `terms` is the pair of E_law_terms
-    of (before, after) when the caller has them."""
+    on two consecutive snapshots, dt apart, from their E_law_terms
+    (centered time difference, midpoint spatial terms).  Needs mu = nu."""
     params.require_equal_viscosities("the combined-field law")
-    g = before.grid
-    if terms is None:
-        terms = E_law_terms(before, params), E_law_terms(after, params)
-    (E0, s0), (E1, s1) = terms
+    (E0, s0), (E1, s1) = terms0, terms1
 
     dE = (E1.c - E0.c) / dt
     res = dE - 0.5 * (s0 + s1)
@@ -179,50 +164,7 @@ def E_residual(before: s3.SimState3D, after: s3.SimState3D, params: PhysicalPara
     scale = hs_norm(mid, 0.0)
     if scale == 0.0:
         return 0.0
-    return hs_norm(SpectralField(g, res), 0.0) / scale
-
-
-def identity_suite(y: SpectralField, z: SpectralField,
-                   a: SpectralField, b: SpectralField, c: SpectralField) -> dict:
-    """Max relative residuals of the two-variable vector identities:
-
-    * i1:  curl~(y x z) = z~.grad~ y - y~.grad~ z   (div~-free y, z)
-    * ws6: (a x b).c = (c x a).b = (b x c).a        (pointwise)
-    * double_curl: curl~(curl~ y) + lap~ y = 0      (div~-free y)
-
-    i1 is skipped (flagged) when the divergence precondition fails.
-    Fields should be band-limited to |k| <= n/4 - 1 so products are
-    exactly representable on the grid.
-    """
-    g = y.grid
-    out: dict[str, float | bool] = {}
-
-    i1_ok = max(y.divergence_residual(), z.divergence_residual()) <= 1e-10
-    out["i1_skipped"] = not i1_ok
-    if i1_ok:
-        yp = to_physical(g, y.c)
-        zp = to_physical(g, z.c)
-        lhs = curl2(SpectralField(g, to_spectral(g, np.cross(yp, zp, axis=0))))
-        rhs = _tilde_advect(g, zp, yp) - _tilde_advect(g, yp, zp)
-        scale = max(float(np.abs(rhs).max()), 1e-300)
-        out["i1"] = float(np.abs(lhs.c - rhs).max()) / scale
-
-    ap = to_physical(g, a.c)
-    bp = to_physical(g, b.c)
-    cp = to_physical(g, c.c)
-    axb_c = np.sum(np.cross(ap, bp, axis=0) * cp, axis=0)
-    cxa_b = np.sum(np.cross(cp, ap, axis=0) * bp, axis=0)
-    bxc_a = np.sum(np.cross(bp, cp, axis=0) * ap, axis=0)
-    scale = max(float(np.abs(axb_c).max()), 1e-300)
-    out["ws6"] = max(
-        float(np.abs(axb_c - cxa_b).max()),
-        float(np.abs(axb_c - bxc_a).max()),
-    ) / scale
-
-    dc = curl2(curl2(y)).c - y.grid.k2 * y.c
-    scale = max(float(np.abs(y.grid.k2 * y.c).max()), 1e-300)
-    out["double_curl"] = float(np.abs(dc).max()) / scale
-    return out
+    return hs_norm(E0.with_coeffs(res), 0.0) / scale
 
 
 def make_initial_25d(grid: GridSpec, kind: str, amplitude: float,

@@ -4,14 +4,20 @@ They follow the equations of solver3d term by term, on the whole
 half-spectrum, with each quadratic term formed by collocation and
 dealiased by the two-thirds rule.  The library's stepper regroups the
 same terms on the compact dealias band; the tests hold it to these
-references.  Also here: the Laplacian and the lattice dilation, two
-spectral operators only the tests use.
+references.  Also here, because only the tests use them: the Laplacian,
+the lattice dilation and the divergence; coefficient lookups; the
+timeseries.csv reader; and the 2.5D combined-field residual of two
+states.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from hallmhd import solver25d as s25
+from hallmhd.diagnostics import RECORD_COLUMNS, DiagnosticsRecord
 from hallmhd.fields import SpectralField
 from hallmhd.operators import band_filter, curl3, leray_project, to_physical, to_spectral
 from hallmhd.params import PhysicalParams
@@ -31,7 +37,7 @@ def dilate(f: SpectralField, lam: int) -> SpectralField:
         raise ValueError(f"dilation factor must be a positive integer, got {lam}")
     lam = int(lam)
     if lam == 1:
-        return f.copy()
+        return f.with_coeffs(f.c.copy())
     g = f.grid
     n = g.n
     out = np.zeros_like(f.c)
@@ -45,6 +51,41 @@ def dilate(f: SpectralField, lam: int) -> SpectralField:
         tgt = tuple(ki % n for ki in kk[:-1]) + (kk[-1],)
         out[(slice(None),) + tgt] = f.c[(slice(None),) + tuple(idx)]
     return f.with_coeffs(out)
+
+
+def divergence(f: SpectralField) -> np.ndarray:
+    """ik . f_hat as a scalar coefficient array.  In 2.5D only the first
+    two components enter (tilde divergence)."""
+    g = f.grid
+    return sum(1j * g.kvec[i] * f.c[i] for i in range(g.dim))
+
+
+def coeff_at(f: SpectralField, k: tuple[int, ...]) -> np.ndarray:
+    """Coefficient vector of f at wavevector k, resolving conjugate storage."""
+    idx, conj = f.grid.index_of(k)
+    val = f.c[(slice(None),) + idx]
+    return np.conj(val) if conj else val.copy()
+
+
+def mean_mode(f: SpectralField) -> np.ndarray:
+    return f.c[(slice(None),) + (0,) * f.grid.dim].copy()
+
+
+def read_records_csv(path) -> list[DiagnosticsRecord]:
+    """The rows of a run's timeseries.csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != RECORD_COLUMNS:
+        raise ValueError("unexpected timeseries header")
+    return [DiagnosticsRecord(*(float(x) for x in row)) for row in rows[1:]]
+
+
+def e_residual(before: SimState3D, after: SimState3D, params: PhysicalParams,
+               dt: float) -> float:
+    """solver25d.E_residual of two 2.5D states, each with its own
+    transform of u."""
+    terms = [s25.E_law_terms(st, params, st.u.to_physical()) for st in (before, after)]
+    return s25.E_residual(*terms, params, dt)
 
 
 def hall_pair(J: SpectralField, B: SpectralField, eps: float) -> SpectralField:

@@ -21,7 +21,7 @@ from hallmhd.checks import (
     operator_identity_suite,
 )
 from hallmhd.config import RunConfig
-from hallmhd.diagnostics import budget_identity_residuals, weakstrong_monitor
+from hallmhd.diagnostics import budget_residuals, budget_terms, weakstrong_monitor
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import interpolation_check
@@ -32,6 +32,8 @@ from hallmhd.probes import inequality_probe, kato_ponce_probe
 from hallmhd.runner import run
 from hallmhd.sampling import random_field, single_mode_field
 from hallmhd.snapshots import read_snapshot
+
+from oracle3d import e_residual
 
 pytestmark = pytest.mark.acceptance
 
@@ -150,7 +152,8 @@ def test_criterion_06_budget_identities():
         st2 = s3.step(st, params, ctrl)
         out = {}
         for s in (0.5, 1.0):
-            r = budget_identity_residuals(st, st2, params, s)
+            r = budget_residuals(budget_terms(st, params, s), budget_terms(st2, params, s),
+                                 st2.t - st.t, params)
             out[s] = max(r["res_u"], r["res_b"], r["res_v"])
         return out
 
@@ -182,7 +185,7 @@ def test_criterion_07_E_equation(tmp_path):
         ctrl = StepControl(dt=dt, t_end=1.0)
         for _ in range(8):
             prev, st = st, s25.step_25d(st, params, ctrl)
-        return s25.E_residual(prev, st, params, dt)
+        return e_residual(prev, st, params, dt)
 
     ratio = res_at(2e-3) / res_at(1e-3)
     ok = e_res <= 1e-5 and rw <= 1e-11 and 3.0 <= ratio <= 5.0

@@ -7,14 +7,13 @@ from hallmhd.diagnostics import (
     RECORD_COLUMNS,
     DiagnosticsRecord,
     adjointness_check,
-    budget_identity_residuals,
+    budget_residuals,
     budget_terms,
     cancellation_check,
     decay_monitor,
     energy_drift_series,
     fit_budget_6100,
     monotonicity_monitor,
-    read_records_csv,
     weakstrong_monitor,
     write_records_csv,
 )
@@ -23,6 +22,8 @@ from hallmhd.operators import leray_project
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd import solver3d as s3
 from hallmhd.sampling import random_field, single_mode_field
+
+from oracle3d import read_records_csv
 
 P1 = PhysicalParams(1.0, 1.0, 1.0)
 
@@ -78,7 +79,8 @@ class TestBudget:
             for _ in range(4):
                 st = s3.step(st, P1, ctrl)
             st2 = s3.step(st, P1, ctrl)
-            r = budget_identity_residuals(st, st2, P1, s)
+            r = budget_residuals(budget_terms(st, P1, s), budget_terms(st2, P1, s),
+                                 st2.t - st.t, P1)
             return max(r["res_u"], r["res_b"], r["res_v"])
 
         r1, r2 = res(2e-3), res(1e-3)
@@ -88,8 +90,9 @@ class TestBudget:
     def test_time_order_enforced(self, g3):
         u0, B0 = s3.make_initial(g3, "random_band", 0.1, seed=18)
         st = s3.make_state(u0, B0, P1, extended=True)
-        with pytest.raises(ValueError):
-            budget_identity_residuals(st, st, P1)
+        b = budget_terms(st, P1)
+        with pytest.raises(ValueError, match="time-ordered"):
+            budget_residuals(b, b, 0.0, P1)
 
     def test_fitted_6100_constant(self, g3):
         u0, B0 = s3.make_initial(g3, "random_band", 0.3, seed=19)
@@ -221,6 +224,15 @@ class TestWeakStrong:
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=29)
         with pytest.raises(ValueError):
             weakstrong_monitor(u0, B0, [], P1, StepControl(dt=1e-3, t_end=0.01))
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_sample_every_below_one_rejected(self, g3, every):
+        """0 would divide by zero at the first step, and -1 would sample
+        every step."""
+        u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=29)
+        with pytest.raises(ValueError, match="sample_every"):
+            weakstrong_monitor(u0, B0, [(u0, B0)], P1, StepControl(dt=1e-3, t_end=0.01),
+                               sample_every=every)
 
 
 class TestRecordsCsv:

@@ -9,6 +9,8 @@ from hallmhd.norms import hs_norm
 from hallmhd.operators import to_physical, to_spectral
 from hallmhd.sampling import random_field
 
+from oracle3d import coeff_at, mean_mode
+
 
 class TestGridSpec:
     def test_rejects_odd_or_small_n(self):
@@ -69,8 +71,8 @@ class TestTransforms:
         phases = np.exp(-1j * X)
         direct = np.sum(vals[0] * phases) / n**3
         assert abs(direct - 0.5) < 1e-13
-        np.testing.assert_allclose(f.coeff_at((1, 0, 0)), [0.5, 0, 0], atol=1e-13)
-        np.testing.assert_allclose(f.coeff_at((-1, 0, 0)), [0.5, 0, 0], atol=1e-13)
+        np.testing.assert_allclose(coeff_at(f, (1, 0, 0)), [0.5, 0, 0], atol=1e-13)
+        np.testing.assert_allclose(coeff_at(f, (-1, 0, 0)), [0.5, 0, 0], atol=1e-13)
         # all other coefficients vanish
         c = f.c.copy()
         c[0][g3.index_of((1, 0, 0))[0]] = 0.0
@@ -114,7 +116,7 @@ class TestFieldInvariants:
 
     def test_mean_mode_zero(self, g3):
         f = random_field(g3, 1, 5, seed=8)
-        assert np.abs(f.mean_mode()).max() == 0.0
+        assert np.abs(mean_mode(f)).max() == 0.0
 
     def test_plancherel(self, g3):
         f = random_field(g3, 1, 6, seed=9, divfree=False)

@@ -9,10 +9,12 @@ import pytest
 
 from hallmhd import cli
 from hallmhd.config import ConfigError, RunConfig, config_from_mapping, parse_config_file
-from hallmhd.diagnostics import RECORD_COLUMNS, read_records_csv
+from hallmhd.diagnostics import RECORD_COLUMNS
 from hallmhd.presets import PRESETS, bisect_monotonicity_threshold, experiment, preset_run_config
 from hallmhd.runner import NumericsError, run
 from hallmhd.snapshots import read_snapshot
+
+from oracle3d import e_residual, read_records_csv
 
 
 class TestConfig:
@@ -93,6 +95,11 @@ class TestConfig:
         "snapshot_every = nan",
         "budget_s = nan",
         "tol_energy_drift = nan",
+        # periodic snapshots (snap_t{t:.6f}, at most one per step) that can
+        # fall max(dt, snapshot_every - dt) <= 1e-6 apart would share a name
+        "dt = 1e-7\nt_end = 1e-6\nsnapshot_every = 1e-7",
+        "dt = 1e-7\nt_end = 1e-6\nsnapshot_every = 1.05e-6",
+        "dt = 1e-6\nt_end = 1e-5\nsnapshot_every = 5e-7",
     ])
     def test_inconsistent_config_exit_2(self, tmp_path, line):
         cfgfile = tmp_path / "c.cfg"
@@ -117,6 +124,16 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfgfile)]) == 2
         assert kind in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_snapshot_names_distinct_above_the_spacing_limit(self, tmp_path):
+        """Just above the limit each periodic snapshot keeps its own file
+        (with dt = snapshot_every = 1e-7 a run listed 10 snapshot times
+        but left 2 periodic files)."""
+        cfg = RunConfig(dimension=2.5, n=16, dt=2e-6, t_end=2e-5, snapshot_every=2e-6)
+        res = run(cfg, out_dir=tmp_path / "r")
+        times = res.summary["snapshot_times"]
+        assert len(times) == 10
+        assert len(list((tmp_path / "r").glob("snap_t*.hmhd"))) == len(times)
 
 
 class TestRunner:
@@ -241,7 +258,7 @@ class TestRunner:
     def test_25d_e_residual_rows_match_recomputed(self, tmp_path, sample_every):
         """The monitor's carried E-law terms and shared transforms give the
         e_residual rows that E_residual computes afresh across the step
-        before each sample."""
+        before each sample, from each state's own transform of u."""
         from hallmhd import solver25d as s25
         from hallmhd.grid import GridSpec
         from hallmhd.params import PhysicalParams, StepControl
@@ -263,7 +280,7 @@ class TestRunner:
         assert rows[0] == 0.0
         for i, row in zip(steps[1:], rows[1:]):
             a, b = states[i - 1], states[i]
-            assert row == s25.E_residual(a, b, params, b.t - a.t)
+            assert row == e_residual(a, b, params, b.t - a.t)
 
     @pytest.mark.parametrize("nu,budget", [(1.0, (7, 3)), (0.5, (5, 2))])
     def test_25d_certificate_transform_budget(self, tmp_path, monkeypatch, nu, budget):

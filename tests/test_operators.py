@@ -12,8 +12,6 @@ from hallmhd.operators import (
     curl2,
     curl3,
     curl_inverse,
-    dealias,
-    divergence,
     gradient,
     leray_project,
     spectral_pad,
@@ -23,7 +21,7 @@ from hallmhd.sampling import random_field, random_scalar, single_mode_field
 from hallmhd.solver3d import abc_field
 
 from conftest import rel_err
-from oracle3d import dilate, laplacian
+from oracle3d import coeff_at, dilate, divergence, laplacian
 
 
 class TestLambda:
@@ -34,8 +32,8 @@ class TestLambda:
     def test_single_mode_scaling(self, g3):
         f = single_mode_field(g3, (2, 1, 0), np.array([0.3 + 0.1j, 0.2, 0.0]))
         out = apply_lambda(f, 0.8)
-        np.testing.assert_allclose(out.coeff_at((2, 1, 0)),
-                                   5 ** 0.4 * f.coeff_at((2, 1, 0)), rtol=1e-14)
+        np.testing.assert_allclose(coeff_at(out, (2, 1, 0)),
+                                   5 ** 0.4 * coeff_at(f, (2, 1, 0)), rtol=1e-14)
 
     def test_inverse_multiplier(self, g3):
         f = random_field(g3, 1, 5, seed=2)
@@ -60,7 +58,7 @@ class TestCurls:
         w = abc_field(g3, 1.0)
         assert rel_err(curl3(w).c, w.c) < 1e-13
         # mode-by-mode audit on one coefficient
-        np.testing.assert_allclose(w.coeff_at((0, 1, 0)), [0.5, 0, -0.5j], atol=1e-14)
+        np.testing.assert_allclose(coeff_at(w, (0, 1, 0)), [0.5, 0, -0.5j], atol=1e-14)
 
     def test_curl2_example(self, g2):
         x1, _ = g2.coordinates()
@@ -146,9 +144,9 @@ class TestFilters:
              + single_mode_field(g3, (2, 0, 0), np.array([1.0, 0, 0]))
              + single_mode_field(g3, (3, 0, 0), np.array([1.0, 0, 0])))
         kept = band_filter(f, 1.5, 2.5)
-        assert abs(kept.coeff_at((2, 0, 0))[0] - 1.0) < 1e-15
-        assert np.abs(kept.coeff_at((1, 0, 0))).max() == 0.0
-        assert np.abs(kept.coeff_at((3, 0, 0))).max() == 0.0
+        assert abs(coeff_at(kept, (2, 0, 0))[0] - 1.0) < 1e-15
+        assert np.abs(coeff_at(kept, (1, 0, 0))).max() == 0.0
+        assert np.abs(coeff_at(kept, (3, 0, 0))).max() == 0.0
 
     def test_partition(self, g3):
         f = random_field(g3, 0, np.inf, seed=15, divfree=False)
@@ -161,15 +159,10 @@ class TestFilters:
         with pytest.raises(ValueError):
             band_filter(f, 3.0, 1.0)
 
-    def test_dealias_idempotent(self, g3):
-        f = random_field(g3, 0, np.inf, seed=17, divfree=False)
-        d1 = dealias(f)
-        assert np.array_equal(dealias(d1).c, d1.c)
-
     def test_laplacian_single_mode(self, g3):
         f = single_mode_field(g3, (2, 1, 0), np.array([1.0, 0, 0]))
         out = laplacian(f)
-        np.testing.assert_allclose(out.coeff_at((2, 1, 0)), [-5.0, 0, 0], rtol=1e-15)
+        np.testing.assert_allclose(coeff_at(out, (2, 1, 0)), [-5.0, 0, 0], rtol=1e-15)
 
     def test_divergence_of_projection(self, g3):
         f = random_field(g3, 1, 6, seed=18, divfree=False)
@@ -181,7 +174,7 @@ class TestDilatePad:
     def test_dilate_moves_modes(self, g3):
         f = single_mode_field(g3, (1, 2, 0), np.array([1.0, 0.5j, 0]))
         d = dilate(f, 2)
-        np.testing.assert_allclose(d.coeff_at((2, 4, 0)), f.coeff_at((1, 2, 0)), rtol=1e-15)
+        np.testing.assert_allclose(coeff_at(d, (2, 4, 0)), coeff_at(f, (1, 2, 0)), rtol=1e-15)
         with pytest.raises(ValueError):
             dilate(f, 5)  # 5*2 = 10 > n/2 escapes the 16-lattice
 

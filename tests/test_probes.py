@@ -67,6 +67,13 @@ class TestKatoPonce:
         with pytest.raises(ValueError):
             kato_ponce_probe(-1.0, 2.0, 4.0, 4.0, 4.0, 4.0, samples=1)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        """A probe over no samples would report max ratio 0.0, a pass on
+        nothing."""
+        with pytest.raises(ValueError, match="at least one sample"):
+            kato_ponce_probe(1.0, 2.0, 4.0, 4.0, 4.0, 4.0, samples=samples)
+
     def test_symmetric_case_finite(self):
         rep = kato_ponce_probe(1.0, 2.0, 4.0, 4.0, 4.0, 4.0, samples=4, resolution=32)
         assert 0 < rep["commutator"].max_ratio < 10

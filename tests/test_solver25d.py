@@ -1,10 +1,11 @@
 """2.5D solver: advective structure, derived fields, the combined-field
-law, the rewritten induction equation, the identity suite, and the 3D
-oracle (2.5D is 3D with d3 = 0)."""
+law, the rewritten induction equation, the identity suite (checks), and
+the 3D oracle (2.5D is 3D with d3 = 0)."""
 
 import numpy as np
 import pytest
 
+from hallmhd.checks import identity_suite
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
@@ -23,6 +24,10 @@ P1 = PhysicalParams(1.0, 1.0, 1.0)
 def random_state(g2, amp=0.3, seed=5, params=P1):
     u0, B0 = s25.make_initial_25d(g2, "random_band", amp, seed=seed)
     return s25.make_state_25d(u0, B0, params)
+
+
+def physical_uB(st):
+    return np.stack([st.u.to_physical(), st.B.to_physical()])
 
 
 class TestRhs:
@@ -74,12 +79,12 @@ class TestRewrittenB:
         params = PhysicalParams(1.0, 1.0, eps)
         st = random_state(g2, seed=7, params=params)
         _, dB = s25.rhs_25d(st, params)
-        rw = s25.rewritten_B_rhs(st, params)
+        rw = s25.rewritten_B_rhs(st, params, physical_uB(st))
         assert rel_err(rw.c, dB.c) < 1e-11
 
     def test_zero_field(self, g2):
         st = s25.make_state_25d(SpectralField.zeros(g2), SpectralField.zeros(g2), P1)
-        assert np.abs(s25.rewritten_B_rhs(st, P1).c).max() == 0.0
+        assert np.abs(s25.rewritten_B_rhs(st, P1, physical_uB(st)).c).max() == 0.0
 
 
 class TestState:
@@ -139,18 +144,18 @@ class TestStepAndEResidual:
         st = s25.make_state_25d(u0, B0, P1)
         ctrl = StepControl(dt=1e-3, t_end=1.0)
         st1 = s25.step_25d(st, P1, ctrl)
-        res = s25.E_residual(st, st1, P1, ctrl.dt)
+        res = oracle3d.e_residual(st, st1, P1, ctrl.dt)
         assert res <= 1e-6
         assert res == pytest.approx(ctrl.dt**2 / 12, rel=1e-2)
 
     def test_zero_state_guarded(self, g2):
         st = s25.make_state_25d(SpectralField.zeros(g2), SpectralField.zeros(g2), P1)
-        assert s25.E_residual(st, st, P1, 1e-3) == 0.0
+        assert oracle3d.e_residual(st, st, P1, 1e-3) == 0.0
 
     def test_mu_ne_nu_rejected(self, g2):
         st = random_state(g2)
         with pytest.raises(ValueError):
-            s25.E_residual(st, st, PhysicalParams(1.0, 2.0, 1.0), 1e-3)
+            oracle3d.e_residual(st, st, PhysicalParams(1.0, 2.0, 1.0), 1e-3)
 
     def test_generic_residual_second_order(self, g2):
         # the residual's O(dt^2) constant grows like (k^2)^3; keep the
@@ -163,7 +168,7 @@ class TestStepAndEResidual:
             st = st0
             for _ in range(8):
                 prev, st = st, s25.step_25d(st, P1, ctrl)
-            return s25.E_residual(prev, st, P1, dt)
+            return oracle3d.e_residual(prev, st, P1, dt)
 
         r1, r2 = res_at(2e-3), res_at(1e-3)
         assert r2 <= 1e-5
@@ -202,24 +207,6 @@ class TestSharedCertificateWork:
             ref[j] = 1j * (k1 * prod[0] + k2 * prod[1])
         assert np.array_equal(s25._tilde_advect(g, ap, bp), ref)
 
-    def test_E_residual_with_supplied_terms(self, g2):
-        ctrl = StepControl(dt=1e-3, t_end=1.0)
-        a = random_state(g2, amp=0.3, seed=21)
-        b = s25.step_25d(a, P1, ctrl)
-        # as the run's monitor supplies them: u from the batched (u, B) transform
-        terms = (s25.E_law_terms(a, P1, s25.physical_uB(a)[0]),
-                 s25.E_law_terms(b, P1, s25.physical_uB(b)[0]))
-        ref = s25.E_residual(a, b, P1, ctrl.dt)
-        assert ref > 0.0
-        assert s25.E_residual(a, b, P1, ctrl.dt, terms=terms) == ref
-
-    def test_rewritten_B_rhs_with_phys(self, g2):
-        st = random_state(g2, amp=0.3, seed=22)
-        phys = np.stack([st.u.to_physical(), st.B.to_physical()])
-        assert np.array_equal(s25.physical_uB(st), phys)
-        assert np.array_equal(s25.rewritten_B_rhs(st, P1, phys).c,
-                              s25.rewritten_B_rhs(st, P1).c)
-
 
 class TestIdentitySuite:
     def test_random_divfree(self, g2):
@@ -229,7 +216,7 @@ class TestIdentitySuite:
         a = random_field(g2, 1, K, seed=22, divfree=False)
         b = random_field(g2, 1, K, seed=23, divfree=False)
         c = random_field(g2, 1, K, seed=24, divfree=False)
-        out = s25.identity_suite(y, z, a, b, c)
+        out = identity_suite(y, z, a, b, c)
         assert not out["i1_skipped"]
         assert out["i1"] <= 1e-11
         assert out["ws6"] <= 1e-13
@@ -239,7 +226,7 @@ class TestIdentitySuite:
         K = g2.n / 4.0 - 1.0
         y = random_field(g2, 1, K, seed=25)
         a = random_field(g2, 1, K, seed=26, divfree=False)
-        out = s25.identity_suite(y, y, a, a, a)
+        out = identity_suite(y, y, a, a, a)
         assert out["i1"] <= 1e-13
 
     def test_divergence_precondition_flag(self, g2):
@@ -247,7 +234,7 @@ class TestIdentitySuite:
         y = random_field(g2, 1, K, seed=27, divfree=False)
         z = random_field(g2, 1, K, seed=28)
         a = random_field(g2, 1, K, seed=29, divfree=False)
-        out = s25.identity_suite(y, z, a, a, a)
+        out = identity_suite(y, z, a, a, a)
         assert out["i1_skipped"] and "i1" not in out
 
 

@@ -1,0 +1,89 @@
+"""Every public name of the library has a caller outside the tests.
+
+A public top-level function or class of src/hallmhd, or a public method
+of a public class, counts as used when some code in src/hallmhd, bench/
+or tools/ names it: an `ast.Name` or the attribute of an `ast.Attribute`,
+outside the name's own definition.  Comments, docstrings, `__all__`
+strings and import lines do not count.  A name only the tests call
+belongs in the tests (see tests/oracle3d.py)."""
+
+import ast
+import functools
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "hallmhd"
+USERS = (LIBRARY, ROOT / "bench", ROOT / "tools")
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+@functools.cache
+def _parse(path: Path) -> ast.Module:
+    """One tree per file, so a definition found in it is the same node
+    that encloses the uses inside it."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions() -> list[tuple[str, str, ast.AST]]:
+    """(where, name, node) of each public top-level function and class,
+    and each public method of a public class."""
+    out = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
+                continue
+            out.append((path.stem, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out.extend((f"{path.stem}.{node.name}", item.name, item) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and _public(item.name))
+    return out
+
+
+def _uses(trees) -> list[tuple[str, tuple]]:
+    """(name, enclosing definitions) for every Name and Attribute in the
+    given module trees."""
+    out = []
+
+    def walk(node: ast.AST, enclosing: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing + (node,)
+        if isinstance(node, ast.Name):
+            out.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, enclosing))
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing)
+
+    for tree in trees:
+        walk(tree, ())
+    return out
+
+
+def _callers() -> list[ast.Module]:
+    """The parsed code that may call the library."""
+    return [_parse(path) for root in USERS for path in sorted(root.rglob("*.py"))]
+
+
+def _used(name: str, node: ast.AST, uses) -> bool:
+    return any(used == name and node not in enclosing for used, enclosing in uses)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    uses = _uses(_callers())
+    unused = [f"{where}.{name}" for where, name, node in _definitions()
+              if not _used(name, node, uses)]
+    assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_a_recursive_call_is_not_a_use():
+    """A call from another function counts, through a Name or an
+    Attribute; a call from the name's own body does not."""
+    tree = ast.parse("def f(x):\n    return f(x - 1)\n")
+    f_node = tree.body[0]
+    assert not _used("f", f_node, _uses([tree]))
+    assert _used("f", f_node, _uses([tree, ast.parse("f(1)")]))
+    assert _used("f", f_node, _uses([tree, ast.parse("m.f")]))
+    assert not _used("f", f_node, _uses([tree, ast.parse('"f"  # f')]))
