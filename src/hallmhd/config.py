@@ -109,6 +109,8 @@ class RunConfig:
             raise ConfigError("budget_s must be positive")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be nonnegative")
+        if self.snapshot_every > self.t_end + 1e-12:  # run()'s snapshot tolerance
+            raise ConfigError("snapshot_every exceeds t_end: no periodic snapshot would be written")
         # at most one snapshot per step, so periodic ones are at least
         # max(dt, snapshot_every - dt) apart; names snap_t{t:.6f} need > 1e-6
         if self.snapshot_every > 0 and max(self.dt, self.snapshot_every - self.dt) <= 1e-6:

@@ -7,7 +7,10 @@ directory.  Every output byte is determined by (config, seed).
 the dissipation integrands, the sample rows and the summary keys.  Both
 monitors read every record norm from the session's compact band.  The
 t = 0 step guard reads its maxima from the session's stage-1 term,
-which step 1 reuses."""
+which step 1 reuses.  A 2.5D sample's full-lattice certificate runs on
+the stepper's lane-1 worker thread while the run steps on, when that
+worker is idle (two CPUs allowed, 2D N < 128), and inline otherwise;
+run() collects every certificate before the records."""
 
 from __future__ import annotations
 
@@ -150,11 +153,15 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
                 snapshot(f"snap_t{st.t:.6f}.hmhd", st)
                 snap_times.append(st.t)
                 next_snap += cfg.snapshot_every
+        monitor.collect()
     except (CFLError, FloatingPointError) as e:
+        monitor.collect()  # an earlier sample's failed certificate comes first
         flush = last_good if last_good is not None else state0
         snapshot("snap_last_good.hmhd", flush)
         raise NumericsError(f"{e} at step {i} (t={i * cfg.dt:.6g}); last good "
                             f"snapshot (t={flush.t:.6g}) flushed") from e
+    finally:
+        monitor.collect(fill=False)  # no certificate job outlives the call
     snapshot("snap_final.hmhd", session.state())
 
     # cumulative dissipation integrals int_0^t ||grad .||^2, one per column
@@ -236,6 +243,9 @@ class _Monitor3D:
         s = self.session
         return s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v", 1.0) if self.extended else 0.0
 
+    def collect(self, fill: bool = True) -> None:
+        """A 3D sample leaves no work pending."""
+
     def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
                before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
@@ -311,6 +321,12 @@ class _Monitor3D:
 
 # 2.5D -----------------------------------------------------------------------
 
+# At most this many 2.5D certificate jobs pend, about 0.3 MB each at N = 64.
+# Unbounded, the worker lagged 1-10 jobs over 151 samples and 17-85 over
+# 1,001 (2 vCPUs): there it is the slower side, and a bound of 8 cost no time.
+_CERT_QUEUE = 8
+
+
 class _Monitor25D:
     """Band norms of the sampled state (the record norms as in the 3D
     monitor, plus the H^1/H^2 and vorticity norms behind the fitted
@@ -318,13 +334,15 @@ class _Monitor25D:
     the rewritten induction equation), and the fitted constants of the
     v-inequality, the B-H1 budget and the vorticity bound.
 
-    Each sample inverse-transforms u and B once (one batched call) and
-    passes them to the E-law terms and the rewritten induction equation;
-    with the E-law terms of the previous sample carried over, the
-    certificates cost 7 forward and 3 inverse full-lattice transforms per
-    sample.  The dB/dt they are checked against is the session's stage-1
-    term (rhs_25d with the session), which the next step reuses, and the
-    ~20 band norms of a sample take one magnitude per field."""
+    The calling thread forms a sample's band norms and dB/dt (the
+    stage-1 term, which the next step reuses); only it reads the
+    session's fields.  The certificate job (_certify: 7 forward and 3
+    inverse full-lattice transforms, the previous sample's E-law terms
+    carried over) runs inline, or in order on the lane-1 worker when
+    sp.worker_idle, at most _CERT_QUEUE pending until collect().  A
+    failing job then raises as inline, but up to _CERT_QUEUE samples
+    later (after any periodic snapshots between), and run() raises it
+    ahead of a later step's NumericsError."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
@@ -334,6 +352,10 @@ class _Monitor25D:
         self.e_law = params.mu == params.nu
         self.step_before = cfg.sample_every > 1 and self.e_law
         self.terms = None
+        # only onto an idle worker: always overlapping took cert_ref 3.64 -> 3.88 on
+        # one CPU (6 pairs), a 2D N = 128 run 1.27 -> 1.28 s (10 runs, lane 1 busy)
+        self.pool = s3._lane1_pool() if session.sp.worker_idle else None
+        self.pending: list = []  # (row, future) of each job not collected
 
     def dissipation(self) -> tuple:
         s = self.session
@@ -345,7 +367,7 @@ class _Monitor25D:
         """`prev` is the state at the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
-        params, hs2 = self.params, self.session.hs2
+        hs2 = self.session.hs2
         row = {"istep": istep, "t": st.t, **_norm_row(self.session, "v_of_uB")}
         h1u2, h2u2, h1b2, h2b2 = hs2("u", 1.0), hs2("u", 2.0), hs2("B", 1.0), hs2("B", 2.0)
         row.update({
@@ -356,24 +378,38 @@ class _Monitor25D:
             "om2": hs2("curl_u", 0.0),
             "w_weight": row["l2u2"] * h1u2 + float(np.sqrt(h1u2) * np.sqrt(h2u2)),
         })
+        _, dB = s25.rhs_25d(st, self.params, self.session)  # the next step's stage 1
+        if self.pool is None:
+            row.update(self._certify(st, prev, before, dB))
+        else:
+            self.collect(keep=_CERT_QUEUE - 1)
+            self.pending.append((row, self.pool.submit(self._certify, st, prev, before, dB)))
+        return row
+
+    def _certify(self, st, prev, before, dB) -> dict:
+        """The sample's e_residual and rewritten_res."""
+        params = self.params
         phys = to_physical(st.grid, np.stack([st.u.c, st.B.c]))
         e_res = 0.0
         if self.e_law:
             terms = s25.E_law_terms(st, params, phys[0])
             if before is not None:  # the state one step before this sample
-                t0, (uc, Bc) = before
-                sp = self.session.sp
-                prev = s3.SimState3D(t0, sp.scatter_field(uc), sp.scatter_field(Bc))
+                prev = s3.SimState3D(before[0], *map(self.session.sp.scatter_field, before[1]))
                 self.terms = s25.E_law_terms(prev, params, prev.u.to_physical())
             if prev is not None:
                 e_res = s25.E_residual(self.terms, terms, params, st.t - prev.t)
             self.terms = terms
-        row["e_residual"] = e_res
-        _, dB = s25.rhs_25d(st, params, self.session)  # the next step's stage 1
         rw = s25.rewritten_B_rhs(st, params, phys)
         scale = max(float(np.abs(dB.c).max()), 1e-300)
-        row["rewritten_res"] = float(np.abs(rw.c - dB.c).max()) / scale
-        return row
+        return {"e_residual": e_res, "rewritten_res": float(np.abs(rw.c - dB.c).max()) / scale}
+
+    def collect(self, keep: int = 0, fill: bool = True) -> None:
+        """Wait for pending jobs, oldest first, until `keep` are left; with
+        `fill`, put each result in its row (raising a job's exception)."""
+        while len(self.pending) > keep:
+            row, job = self.pending.pop(0)
+            if job.exception() is None or fill:  # exception() waits for the job
+                row.update(job.result())
 
     def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
         cfg = self.cfg

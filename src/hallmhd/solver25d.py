@@ -19,19 +19,19 @@ compact-band stepper there (third wavevector zero).  In a run rhs_25d
 reads the StepSession's stage-1 term, which the session's next step
 reuses, so a sampled dB/dt costs no extra nonlinear evaluation.  The
 certificates (rewritten_B_rhs, E_residual on two E_law_terms) evaluate
-the 2.5D forms on the full lattice, from physical fields the caller passes.
+the 2.5D forms on the full lattice, from physical fields the caller
+passes.  A run calls rhs_25d on the stepping thread, and the
+certificates on the stepper's lane-1 worker thread when that is idle
+(two CPUs allowed, N < 128), inline otherwise.
 
-Certificate transform budget per sample of a run (mu = nu): the run's
-monitor inverse-transforms u and B in one batched call and passes them
-in; E_law_terms of the sampled state costs 1 inverse (E) and 2 forward
-transforms, rewritten_B_rhs 1 inverse (j with lap B) and 5 forward:
-7 forward and 3 inverse in all.  The E-law terms of a sample are
-carried to the next E_residual, whose before-state it is when samples
-are one step apart.  Each _tilde_advect is one batched forward call;
+Certificate transform budget per sample of a run (mu = nu): u and B
+come in one batched inverse call; E_law_terms costs 1 inverse (E) and
+2 forward transforms, rewritten_B_rhs 1 inverse (j with lap B) and 5
+forward: 7 forward and 3 inverse in all, with each sample's E-law
+terms carried to the next E_residual (its before-state when samples
+are one step apart).  Each _tilde_advect is one batched forward call;
 pocketfft transforms every slice of a batch as it would alone, so
-batching changes no bit.  The stepper batches the same way: below
-N = 128 a nonlinear evaluation makes one inverse and one forward call
-per pass, each over all nine components (solver3d).
+batching changes no bit (solver3d batches below N = 128 the same way).
 """
 
 from __future__ import annotations

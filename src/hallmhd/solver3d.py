@@ -262,9 +262,11 @@ class _Stepper3D:
         # of its own, on two lanes when two CPUs are allowed; smaller ones
         # go on one lane as one stack of all components per phase.
         big = np.prod(grid.physical_shape) >= _LANE_MIN_POINTS
-        nlanes = 2 if big and len(os.sched_getaffinity(0)) >= 2 else 1
+        two_cpus = len(os.sched_getaffinity(0)) >= 2
+        nlanes = 2 if big and two_cpus else 1
         self.stack = 1 if big else nprod
         self.lanes = [_Lane(grid, self.stack, inv_idx, off_idx) for _ in range(nlanes)]
+        self.worker_idle = two_cpus and nlanes == 1  # lane 1's CPU, and no job on it
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 

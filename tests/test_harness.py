@@ -85,6 +85,7 @@ class TestConfig:
         "b_amplitude = 0.0",               # in 3D
         "dimension = 2.5\ninit_kind = single_mode_b3\nb_amplitude = 0.3",
         "dimension = 2.5\ninit_kind = zero\nb_amplitude = 0.3",
+        "snapshot_every = 0.02",           # above t_end: no periodic snapshot
         # non-finite numbers (band_hi = inf is allowed: every mode)
         "t_end = inf",
         "dt = 1e-300\nt_end = 1e300",
@@ -124,6 +125,13 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfgfile)]) == 2
         assert kind in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("every", [0.01, 0.1 * 0.1])  # 0.1 * 0.1 > 0.01 by one ulp
+    def test_snapshot_every_equal_to_t_end_writes_one_periodic_snapshot(self, tmp_path, every):
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.01, snapshot_every=every)
+        res = run(cfg, out_dir=tmp_path / "r")
+        assert res.summary["snapshot_times"] == [pytest.approx(0.01, abs=1e-12)]
+        assert [p.name for p in (tmp_path / "r").glob("snap_t*.hmhd")] == ["snap_t0.010000.hmhd"]
 
     def test_snapshot_names_distinct_above_the_spacing_limit(self, tmp_path):
         """Just above the limit each periodic snapshot keeps its own file
@@ -285,41 +293,48 @@ class TestRunner:
     @pytest.mark.parametrize("nu,budget", [(1.0, (7, 3)), (0.5, (5, 2))])
     def test_25d_certificate_transform_budget(self, tmp_path, monkeypatch, nu, budget):
         """Full-lattice transforms per 2.5D sample (the stepper's pruned
-        one-axis transforms, rhs_25d included, are not counted): 7 forward
-        and 3 inverse with the combined-field law (mu = nu), 5 and 2
-        without it."""
+        one-axis transforms, rhs_25d included, are not counted): none on
+        the stepping thread's part of sample(), and in its certificate
+        job, on whichever thread that runs, 7 forward and 3 inverse with
+        the combined-field law (mu = nu), 5 and 2 without it."""
+        import threading
+
         import scipy.fft
 
         from hallmhd import runner
 
-        counts = None
-        per_sample = []
+        local = threading.local()  # the counts of the call running on this thread
+        per_sample, per_job = [], []
 
         def counting(fn, slot):
             def wrapped(*args, **kwargs):
+                counts = getattr(local, "counts", None)
                 if counts is not None and len(kwargs.get("axes", ())) == 2:
                     counts[slot] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        sample = runner._Monitor25D.sample
-
-        def counted_sample(self, *args):
-            nonlocal counts
-            counts = [0, 0]
-            try:
-                return sample(self, *args)
-            finally:
-                per_sample.append(tuple(counts))
-                counts = None
+        def counted(method, into):
+            def wrapped(self, *args):
+                outer, local.counts = getattr(local, "counts", None), [0, 0]
+                try:
+                    return method(self, *args)
+                finally:
+                    into.append(tuple(local.counts))
+                    local.counts = outer
+            return wrapped
 
         monkeypatch.setattr(scipy.fft, "rfftn", counting(scipy.fft.rfftn, 0))
         monkeypatch.setattr(scipy.fft, "irfftn", counting(scipy.fft.irfftn, 1))
-        monkeypatch.setattr(runner._Monitor25D, "sample", counted_sample)
+        monkeypatch.setattr(runner._Monitor25D, "sample",
+                            counted(runner._Monitor25D.sample, per_sample))
+        monkeypatch.setattr(runner._Monitor25D, "_certify",
+                            counted(runner._Monitor25D._certify, per_job))
         cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.005, sample_every=1,
                         nu=nu, amplitude=0.1, seed=5)
         run(cfg, out_dir=tmp_path / "b")
-        assert per_sample == [budget] * 6
+        assert per_sample == [(0, 0)] * 6
+        assert per_job == [budget] * 6
 
     @pytest.mark.parametrize("sample_every", [1, 5])
     def test_25d_stage1_evaluated_once_per_step(self, tmp_path, monkeypatch, sample_every):
@@ -364,6 +379,142 @@ class TestRunner:
             exact = 0.1 * np.sqrt(3.0) * np.exp(-mu * r.t)
             assert abs(r.h12_b - exact) <= 1e-8 * exact
         assert res.summary["decay"]["fitted_rate"] == pytest.approx(2 * mu, rel=1e-4)
+
+
+class TestCertificateOverlap:
+    """A 2.5D sample's certificate job runs on the lane-1 worker when two
+    CPUs are allowed and the stepper runs on one lane, and inline
+    otherwise; the patched affinity picks the path."""
+
+    @staticmethod
+    def cpus(monkeypatch, n: int) -> None:
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def recorded_pool(monkeypatch) -> tuple[list, list]:
+        """The futures of every job given to the lane-1 worker, and the
+        number of them not done just after each submission."""
+        from hallmhd import solver3d as s3
+
+        futures, pending = [], []
+        pool = s3._lane1_pool()
+
+        class Recording:
+            def submit(self, *args):
+                futures.append(pool.submit(*args))
+                pending.append(sum(not f.done() for f in futures))
+                return futures[-1]
+
+        monkeypatch.setattr(s3, "_lane1_pool", Recording)
+        return futures, pending
+
+    @staticmethod
+    def slowed(monkeypatch, seconds: float, fail_at: int | None = None) -> list:
+        """Make rewritten_B_rhs sleep, and raise on call `fail_at`; returns
+        the names of the threads it ran on."""
+        import threading
+        import time
+
+        from hallmhd import solver25d as s25
+
+        rewritten, threads = s25.rewritten_B_rhs, []
+
+        def slow(*args):
+            threads.append(threading.current_thread().name)
+            if len(threads) == fail_at:
+                raise RuntimeError("certificate failed")
+            time.sleep(seconds)
+            return rewritten(*args)
+
+        monkeypatch.setattr(s25, "rewritten_B_rhs", slow)
+        return threads
+
+    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_two_cpus_and_one_give_identical_artifacts(self, tmp_path, monkeypatch,
+                                                        n, sample_every, nu):
+        threads = self.slowed(monkeypatch, 0.0)
+        cfg = RunConfig(dimension=2.5, n=n, dt=1e-3, t_end=0.02, nu=nu,
+                        sample_every=sample_every, amplitude=0.1, seed=5)
+        outs = {}
+        for ncpu in (2, 1):
+            self.cpus(monkeypatch, ncpu)
+            threads.clear()
+            run(cfg, out_dir=tmp_path / str(ncpu))
+            outs[ncpu] = {p.name: p.read_bytes() for p in (tmp_path / str(ncpu)).iterdir()}
+            on_worker = {name.startswith("hallmhd-lane1") for name in threads}
+            assert on_worker == {ncpu == 2}
+        assert len(outs[1]) > 3 and outs[2] == outs[1]
+
+    def test_failing_job_surfaces_from_run_and_leaves_none_pending(self, tmp_path, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        futures, _ = self.recorded_pool(monkeypatch)
+        self.slowed(monkeypatch, 0.005, fail_at=4)
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
+                        amplitude=0.1, seed=5)
+        with pytest.raises(RuntimeError, match="certificate failed"):
+            run(cfg, out_dir=tmp_path / "f")
+        assert len(futures) > 4 and all(f.done() for f in futures)
+        assert not (tmp_path / "f" / "summary.json").exists()
+
+    @staticmethod
+    def poisoned(monkeypatch, at: int) -> None:
+        """Put a NaN into the fields of step `at`."""
+        from hallmhd import solver3d as s3
+
+        advance, calls = s3._Stepper3D.advance, []
+
+        def poisoned(self, fields, control, *args):
+            calls.append(None)
+            if len(calls) == at:
+                fields[0][1, 1] = np.nan
+            return advance(self, fields, control, *args)
+
+        monkeypatch.setattr(s3._Stepper3D, "advance", poisoned)
+
+    def test_numerics_error_waits_for_the_worker(self, tmp_path, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        futures, _ = self.recorded_pool(monkeypatch)
+        self.slowed(monkeypatch, 0.02)
+        self.poisoned(monkeypatch, 12)
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
+                        amplitude=0.1, seed=5)
+        with pytest.raises(NumericsError, match="at step 12 "):
+            run(cfg, out_dir=tmp_path / "n")
+        assert len(futures) == 12 and all(f.done() for f in futures)
+
+    @pytest.mark.parametrize("ncpu", [2, 1])
+    def test_failed_certificate_comes_before_a_later_step_error(self, tmp_path, monkeypatch,
+                                                                  ncpu):
+        """Sample 9's certificate fails and step 12 is not finite.  Inline
+        the failure stops the run at sample 9; overlapped the job is still
+        pending at step 12 (the bound keeps 7 behind), and run() raises it
+        ahead of the NumericsError."""
+        self.cpus(monkeypatch, ncpu)
+        futures, _ = self.recorded_pool(monkeypatch)
+        self.slowed(monkeypatch, 0.02, fail_at=10)
+        self.poisoned(monkeypatch, 12)
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
+                        amplitude=0.1, seed=5)
+        with pytest.raises(RuntimeError, match="certificate failed") as err:
+            run(cfg, out_dir=tmp_path / "n")
+        assert not isinstance(err.value, NumericsError)
+        assert len(futures) == (12 if ncpu == 2 else 0) and all(f.done() for f in futures)
+        assert not (tmp_path / "n" / "snap_last_good.hmhd").exists()
+
+    def test_pending_jobs_never_exceed_the_bound(self, tmp_path, monkeypatch):
+        from hallmhd import runner
+
+        self.cpus(monkeypatch, 2)
+        futures, pending = self.recorded_pool(monkeypatch)
+        self.slowed(monkeypatch, 0.005)  # the worker falls behind
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
+                        amplitude=0.1, seed=5)
+        run(cfg, out_dir=tmp_path / "b")
+        assert len(futures) == 31
+        assert max(pending) == runner._CERT_QUEUE
 
 
 class TestPresets:

@@ -7,10 +7,12 @@ Writes every artifact into OUT (which must not exist yet) and prints one
 `sha256  path` line per file, sorted by path.  The set: a 3D extended
 N = 64 run with periodic snapshots, a 3D physical N = 24 run with mu != nu
 and periodic snapshots, the weak-strong-3d, small-data-2p5d,
-freq-split-3d and threshold-bisect presets (cut short or at N = 16), three
-2.5D runs and two compute_budgets runs, the `check` output, `inspect` of a
-snapshot, and probe CSVs.  Takes about half a minute on one core.  Run it
-at both versions and diff the listings.
+freq-split-3d and threshold-bisect presets (cut short or at N = 16), four
+2.5D runs (one at N = 128, where the stepper may take two lanes and each
+sample's certificate runs inline) and two compute_budgets runs, the `check`
+output, `inspect` of a snapshot, and probe CSVs.  Takes about half a minute
+on one core.  Run it at both versions, with two CPUs and under
+`taskset -c 0`, and diff the listings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ RUNS = {
                               sample_every=3, seed=4),
     "2p5d-n16-single-mode": dict(dimension=2.5, n=16, init_kind="single_mode_b3",
                                  t_end=0.05, sample_every=1),
+    "2p5d-n128-every-step": dict(dimension=2.5, n=128, t_end=0.005, sample_every=1),
     "budgets-n16": dict(dimension=3.0, formulation="extended", n=16, t_end=0.05,
                         sample_every=5, compute_budgets=True),
     "budgets-n16-every-step": dict(dimension=3.0, formulation="extended", n=16,
