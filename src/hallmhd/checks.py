@@ -29,6 +29,7 @@ __all__ = ["run_checks", "CHECK_TOLERANCES"]
 CHECK_TOLERANCES = {
     "operators": 1e-11,
     "cancellation": 1e-12,
+    "hermitian": 1e-12,
     "probe_stability": 2.0,
 }
 
@@ -204,33 +205,27 @@ def run_checks(n: int = 32, fields: int = 200, pairs: int = 100, seed: int = 0,
         if count < 1:
             raise ValueError(f"need at least one of {name}, got {count}")
     ok = True
-    tol = CHECK_TOLERANCES["operators"]
-
     ops = operator_identity_suite(n=n, fields=fields, seed=seed)
-    for name, value in sorted(ops.items()):
+    residuals = [(f"operator {name}", "operators", value) for name, value in sorted(ops.items())]
+    residuals += [("hall cancellation", "cancellation",
+                   hall_cancellation_suite(n=n, pairs=pairs, seed=seed)),
+                  ("hermitian symmetry", "hermitian", hermitian_suite())]
+    for name, key, value in residuals:
+        tol = CHECK_TOLERANCES[key]
         good = value <= tol
         ok &= good
-        emit(f"[{'PASS' if good else 'FAIL'}] operator {name}: max residual {value:.3e} (tol {tol:.0e})")
+        emit(f"[{'PASS' if good else 'FAIL'}] {name}: max residual {value:.3e} (tol {tol:.0e})")
 
-    hall = hall_cancellation_suite(n=n, pairs=pairs, seed=seed)
-    good = hall <= CHECK_TOLERANCES["cancellation"]
-    ok &= good
-    emit(f"[{'PASS' if good else 'FAIL'}] hall cancellation: max residual {hall:.3e} (tol 1e-12)")
-
-    herm = hermitian_suite()
-    good = herm <= 1e-12
-    ok &= good
-    emit(f"[{'PASS' if good else 'FAIL'}] hermitian symmetry: max residual {herm:.3e} (tol 1e-12)")
-
+    tol = CHECK_TOLERANCES["probe_stability"]
     for iid in ("em", "gn1", "gn2", "product"):
         lo = inequality_probe(iid, probe_samples, 32, seed=seed)
         hi = inequality_probe(iid, probe_samples, 64, seed=seed)
         top, bot = max(lo.max_ratio, hi.max_ratio), min(lo.max_ratio, hi.max_ratio)
         stab = top / bot if bot > 0 else np.inf
-        good = np.isfinite(top) and stab <= CHECK_TOLERANCES["probe_stability"]
+        good = np.isfinite(top) and stab <= tol
         ok &= good
         emit(f"[{'PASS' if good else 'FAIL'}] probe {iid}: max ratio {top:.4f}, "
-             f"stability x{stab:.2f} (tol x2)")
+             f"stability x{stab:.2f} (tol x{tol:g})")
 
     kp = kato_ponce_probe(1.0, 2.0, 4.0, 4.0, 4.0, 4.0, samples=probe_samples,
                           resolution=32, seed=seed)

@@ -51,8 +51,6 @@ class RunConfig:
     snapshot_every: float = 0.0     # in time units; 0 = initial + final only
     out_dir: str = "out"
     tol_energy_drift: float = 1e-6
-    tol_e_residual: float = 1e-5
-    tol_v_drift: float = 1e-6
     decay_fraction: float = 1.0     # assert final/initial triple norm <= this
 
     def validate(self) -> "RunConfig":

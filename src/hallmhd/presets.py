@@ -6,6 +6,7 @@ diagnostics monitors; presets add none of their own."""
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -13,11 +14,11 @@ import numpy as np
 
 from . import solver3d as s3
 from .config import ConfigError, RunConfig
-from .diagnostics import monotonicity_monitor, weakstrong_monitor
+from .diagnostics import weakstrong_monitor
 from .grid import GridSpec
 from .operators import leray_project
-from .params import CFLError, PhysicalParams, StepControl, required_dt
-from .runner import run, write_json
+from .params import PhysicalParams, StepControl, required_dt
+from .runner import NumericsError, build_initial, run, write_json
 from .sampling import single_mode_field
 
 __all__ = ["ExperimentPreset", "PRESETS", "experiment", "preset_run_config",
@@ -111,41 +112,28 @@ def preset_run_config(preset_id: str, seed: int = 0) -> RunConfig:
 def _monotone_at_amplitude(amplitude: float, n: int, seed: int, t_probe: float,
                            eps: float = 1.0, mu: float = 1.0) -> tuple[bool, dict]:
     """True when the critical triple norm is nonincreasing (and the
-    integrated inequality holds) along a short extended run."""
+    integrated inequality holds) along a short extended run; a run that
+    fails numerically counts as failure."""
+    cfg = RunConfig(formulation="extended", n=n, mu=mu, nu=mu, eps=eps,
+                    amplitude=amplitude, seed=seed, hall_cfl=0.5)
     grid = GridSpec.create(3, n)
     params = PhysicalParams(mu, mu, eps)
-    u0, B0 = s3.make_initial(grid, "random_band", amplitude, seed=seed)
-    state = s3.make_state(u0, B0, params, extended=True)
-    umax = float(np.abs(u0.to_physical()).max())
-    bmax = float(np.abs(B0.to_physical()).max())
-    guard = StepControl(dt=1e-3, t_end=t_probe, hall_cfl=0.5)
+    st = build_initial(cfg, grid, params)
+    umax = float(np.abs(st.u.to_physical()).max())
+    bmax = float(np.abs(st.B.to_physical()).max())
     # fields can steepen during the probe; leave headroom under the guard
-    bound = required_dt(grid, params, guard, 3.0 * umax, 3.0 * bmax)
-    dt = min(1e-3, 0.5 * bound)
+    guard = StepControl(dt=cfg.dt, t_end=t_probe, hall_cfl=cfg.hall_cfl)
+    dt = min(1e-3, 0.5 * required_dt(grid, params, guard, 3.0 * umax, 3.0 * bmax))
     # at large amplitude the guard makes dt tiny while the uptick appears
     # within a few nonlinear times; cap the probe cost
     nsteps = min(max(1, round(t_probe / dt)), 1500)
-    control = StepControl(dt=dt, t_end=nsteps * dt, hall_cfl=0.5)
-    session = s3.StepSession(state, params, control)
-    ts = [0.0]
-    x2 = [session.hs2("u", 0.5) + session.hs2("B", 0.5) + session.hs2("v_of_uB", 0.5)]
-    y2 = [session.hs2("u", 1.5) + session.hs2("B", 1.5) + session.hs2("v_of_uB", 1.5)]
-    sample_every = max(1, nsteps // 60)
-    try:
-        for i in range(1, nsteps + 1):
-            session.advance()
-            if i % sample_every == 0 or i == nsteps:
-                ts.append(session.t)
-                x2.append(session.hs2("u", 0.5) + session.hs2("B", 0.5)
-                          + session.hs2("v_of_uB", 0.5))
-                y2.append(session.hs2("u", 1.5) + session.hs2("B", 1.5)
-                          + session.hs2("v_of_uB", 1.5))
-    except (FloatingPointError, CFLError):
-        # violent growth past the probe's stability headroom counts as failure
-        return False, {"blowup": True, "amplitude": amplitude}
-    mono = monotonicity_monitor(np.array(ts), np.array(x2), np.array(y2), mu)
-    ok = mono["nonincreasing"] and mono["ineq_2888_holds"]
-    return ok, {"amplitude": amplitude, **mono}
+    cfg = replace(cfg, dt=dt, t_end=nsteps * dt, sample_every=max(1, nsteps // 60))
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            summary = run(cfg, out_dir=tmp).summary
+        except NumericsError:
+            return False, {"blowup": True, "amplitude": amplitude}
+    return summary["pass_monotonicity"], {"amplitude": amplitude, **summary["monotonicity"]}
 
 
 def bisect_monotonicity_threshold(n: int = 16, seed: int = 0, t_probe: float = 0.4,

@@ -15,14 +15,15 @@ of consecutive snapshots.
 The system is the 3D physical formulation restricted to x3-independent
 fields, so a 2.5D state is a physical-formulation solver3d.SimState3D
 on the 2D lattice, and the RHS and the step run on solver3d's
-compact-band stepper there (third wavevector zero).  In a run rhs_25d
-reads the StepSession's stage-1 term, which the session's next step
-reuses, so a sampled dB/dt costs no extra nonlinear evaluation.  The
-certificates (rewritten_B_rhs, E_residual on two E_law_terms) evaluate
-the 2.5D forms on the full lattice, from physical fields the caller
-passes.  A run calls rhs_25d on the stepping thread, and the
-certificates on the stepper's lane-1 worker thread when that is idle
-(two CPUs allowed, N < 128), inline otherwise.
+compact-band stepper there (third wavevector zero).  rhs_25d takes a
+StepSession, whose current fields are the state, and reads its stage-1
+term, which the session's next step reuses: a sampled dB/dt costs no
+extra nonlinear evaluation.  The certificates (rewritten_B_rhs,
+E_residual on two E_law_terms) evaluate the 2.5D forms on the full
+lattice, from physical fields the caller passes.  A run calls rhs_25d
+on the stepping thread, and the certificates on the stepper's lane-1
+worker thread when that is idle (two CPUs allowed, N < 128), inline
+otherwise.
 
 Certificate transform budget per sample of a run (mu = nu): u and B
 come in one batched inverse call; E_law_terms costs 1 inverse (E) and
@@ -72,34 +73,24 @@ def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
     return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
-def _nonlinear_25d(state: s3.SimState3D, params: PhysicalParams,
-                   session: s3.StepSession | None = None):
-    """Dealiased nonlinear (du/dt, dB/dt) without diffusion, from the
-    compact-band stepper on the 2D lattice.  `session` is a StepSession
-    whose current fields are `state`'s (ValueError otherwise): its
-    stage-1 term, which its next step reuses.  Without one the workspace
-    is built with dt = 0 (the nonlinearity does not depend on dt)."""
-    if session is not None:
-        sp = session.sp
-        if session.t != state.t or not all(
-                np.array_equal(sp.gather(f.c), c) for f, c in zip((state.u, state.B), session.fields)):
-            raise ValueError("the session's current fields are not the state's")
-        du, dB, _, _ = session.rhs()
-        return sp.scatter_field(du), sp.scatter_field(dB)
-    sp = s3.get_stepper(state.grid, params, 0.0, False)
-    du, dB, _, _ = sp.nonlinear(sp.gather(state.u.c), sp.gather(state.B.c), with_maxes=False)
+def _nonlinear_25d(session: s3.StepSession) -> tuple[SpectralField, SpectralField]:
+    """Dealiased nonlinear (du/dt, dB/dt) without diffusion on the
+    session's current fields: its stage-1 term, which its next step
+    reuses."""
+    sp = session.sp
+    du, dB = session.rhs()[:2]
     return sp.scatter_field(du), sp.scatter_field(dB)
 
 
-def rhs_25d(state: s3.SimState3D, params: PhysicalParams,
-            session: s3.StepSession | None = None) -> tuple[SpectralField, SpectralField]:
-    """Full (du/dt, dB/dt) of the 2.5D system; `session` as in
-    _nonlinear_25d."""
-    du, dB = _nonlinear_25d(state, params, session)
-    k2 = state.grid.k2
+def rhs_25d(session: s3.StepSession) -> tuple[SpectralField, SpectralField]:
+    """Full (du/dt, dB/dt) of the 2.5D system on a session's current
+    fields (a StepSession on the 2D lattice)."""
+    du, dB = _nonlinear_25d(session)
+    st, params = session.state(), session.params
+    k2 = st.grid.k2
     return (
-        du.with_coeffs(du.c - params.mu * k2 * state.u.c),
-        dB.with_coeffs(dB.c - params.nu * k2 * state.B.c),
+        du.with_coeffs(du.c - params.mu * k2 * st.u.c),
+        dB.with_coeffs(dB.c - params.nu * k2 * st.B.c),
     )
 
 

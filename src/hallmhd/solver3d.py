@@ -101,6 +101,11 @@ class SimState3D:
     B: SpectralField
     v: SpectralField | None = None
 
+    def __post_init__(self):
+        lattice = (self.u.grid.dim, self.u.grid.n)
+        if any((f.grid.dim, f.grid.n) != lattice for f in (self.B, self.v) if f is not None):
+            raise ValueError("u, B and v of a state must share one lattice")
+
     @property
     def grid(self) -> GridSpec:
         return self.u.grid

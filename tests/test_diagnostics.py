@@ -18,6 +18,7 @@ from hallmhd.diagnostics import (
     write_records_csv,
 )
 from hallmhd.fields import SpectralField
+from hallmhd.grid import GridSpec
 from hallmhd.operators import leray_project
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd import solver3d as s3
@@ -196,7 +197,10 @@ class TestWeakStrong:
         uB, BB_ = s3.make_initial(g3_32, "random_band", 0.05, seed=26)
         with pytest.raises(ValueError):
             weakstrong_monitor(uA, BA, [(uB, BB_)], P1, StepControl(dt=1e-3, t_end=0.01))
-
+        # a twin whose B alone is on another lattice
+        _, B24 = s3.make_initial(GridSpec.create(3, 24), "random_band", 0.05, seed=26)
+        with pytest.raises(ValueError, match="one lattice"):
+            weakstrong_monitor(uA, BA, [(uA, B24)], P1, StepControl(dt=1e-3, t_end=0.01))
 
     def test_shared_reference_matches_separate_calls(self, g3):
         """Twins stepped against one reference give, bit for bit, what

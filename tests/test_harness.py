@@ -11,7 +11,7 @@ from hallmhd import cli
 from hallmhd.config import ConfigError, RunConfig, config_from_mapping, parse_config_file
 from hallmhd.diagnostics import RECORD_COLUMNS
 from hallmhd.presets import PRESETS, bisect_monotonicity_threshold, experiment, preset_run_config
-from hallmhd.runner import NumericsError, run
+from hallmhd.runner import TOL_E_RESIDUAL, NumericsError, run
 from hallmhd.snapshots import read_snapshot
 
 from oracle3d import e_residual, read_records_csv
@@ -218,7 +218,7 @@ class TestRunner:
         res = run(cfg)
         assert res.passed
         s = res.summary
-        assert s["e_residual_max"] <= cfg.tol_e_residual
+        assert s["e_residual_max"] <= TOL_E_RESIDUAL
         assert s["rewritten_res_max"] <= 1e-11
         assert np.isfinite(s["c611_fit"]) and np.isfinite(s["c615_fit"])
 
@@ -259,7 +259,7 @@ class TestRunner:
         cfg = RunConfig(dimension=2.5, n=32, t_end=0.1, sample_every=10,
                         out_dir=str(tmp_path / "e10"))
         s = run(cfg).summary
-        assert s["e_residual_max"] <= cfg.tol_e_residual
+        assert s["e_residual_max"] <= TOL_E_RESIDUAL
         assert s["pass_e_residual"] and s["pass"]
 
     @pytest.mark.parametrize("sample_every", [1, 3])
@@ -594,6 +594,36 @@ class TestPresets:
         assert json.loads(text)["threshold_hi"] is None
         assert "Infinity" not in text
 
+    def test_probe_numerics_error_is_blowup_and_leaves_no_files(self, monkeypatch):
+        """A probe run that fails numerically counts as a failed probe, and
+        its run directory (snap_last_good.hmhd included) is removed."""
+        import hallmhd.presets as presets_mod
+        from hallmhd import solver3d as s3
+
+        real_run, real_finite = presets_mod.run, s3.StepSession.finite
+        seen = []
+
+        def spy(cfg, out_dir):
+            try:
+                return real_run(cfg, out_dir=out_dir)
+            except NumericsError:
+                seen.append((Path(out_dir), sorted(p.name for p in Path(out_dir).iterdir())))
+                raise
+
+        calls = []
+
+        def finite(session):  # non-finite fields at the third sample
+            calls.append(None)
+            return len(calls) < 3 and real_finite(session)
+
+        monkeypatch.setattr(presets_mod, "run", spy)
+        monkeypatch.setattr(s3.StepSession, "finite", finite)
+        ok, info = presets_mod._monotone_at_amplitude(0.05, 16, 1, 0.02, mu=0.1)
+        assert ok is False and info == {"blowup": True, "amplitude": 0.05}
+        [(out, files)] = seen
+        assert "snap_last_good.hmhd" in files
+        assert not out.exists()
+
     def test_threshold_bisect_smoke(self):
         out = bisect_monotonicity_threshold(n=16, seed=1, t_probe=0.08, iters=2,
                                             lo=0.05, hi=8.0)
@@ -629,6 +659,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("input error: ")
         assert cli.main(["run", "--config", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("blocked", ["file", "file/sub"])
+    def test_output_path_blocked_by_a_file_exit_2(self, tmp_path, capsys, blocked):
+        """An --out that is a file (FileExistsError) or lies under one
+        (NotADirectoryError) is an input error, for both subcommands."""
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / blocked)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("n = 16\ndt = 1e-3\nt_end = 0.002\n")
+        for argv in (["run", "--config", str(cfgfile), "--out", out],
+                     ["experiment", "fujita-kato-3d", "--n", "16", "--out", out]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and "Traceback" not in err
 
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch):
         import hallmhd.cli as climod

@@ -26,28 +26,19 @@ def random_state(g2, amp=0.3, seed=5, params=P1):
     return s25.make_state_25d(u0, B0, params)
 
 
+def rhs(st, params=P1):
+    """rhs_25d on a StepSession that holds `st`."""
+    return s25.rhs_25d(s3.StepSession(st, params, StepControl(dt=1e-3, t_end=1.0)))
+
+
 def physical_uB(st):
     return np.stack([st.u.to_physical(), st.B.to_physical()])
 
 
 class TestRhs:
-    def test_session_must_hold_the_state(self, g2):
-        """rhs_25d with a session returns the session's stage 1 and raises
-        when the session's current fields are not the state's."""
-        st = random_state(g2)
-        session = s3.StepSession(st, P1, StepControl(dt=1e-3, t_end=1.0))
-        for a, b in zip(s25.rhs_25d(st, P1, session), s25.rhs_25d(st, P1)):
-            assert np.array_equal(a.c, b.c)
-        session.advance()
-        with pytest.raises(ValueError, match="not the state's"):
-            s25.rhs_25d(st, P1, session)
-        other = random_state(g2, seed=6)
-        with pytest.raises(ValueError, match="not the state's"):
-            s25.rhs_25d(other, P1, s3.StepSession(st, P1, StepControl(dt=1e-3, t_end=1.0)))
-
     def test_zero_state(self, g2):
         st = s25.make_state_25d(SpectralField.zeros(g2), SpectralField.zeros(g2), P1)
-        du, dB = s25.rhs_25d(st, P1)
+        du, dB = rhs(st)
         assert np.abs(du.c).max() == 0.0 and np.abs(dB.c).max() == 0.0
 
     def test_third_component_pure_heat(self, g2):
@@ -55,20 +46,20 @@ class TestRhs:
         zero = np.zeros_like(phi)
         u = SpectralField(g2, np.stack([zero, zero, phi]))
         st = s25.make_state_25d(u, SpectralField.zeros(g2), P1)
-        du, dB = s25.rhs_25d(st, P1)
+        du, dB = rhs(st)
         assert rel_err(du.c, -g2.k2 * u.c) < 1e-13
         assert np.abs(dB.c).max() == 0.0
 
     def test_single_mode_b3_decay(self, g2):
         u0, B0 = s25.make_initial_25d(g2, "single_mode_b3", 0.5)
         st = s25.make_state_25d(u0, B0, P1)
-        du, dB = s25.rhs_25d(st, P1)
+        du, dB = rhs(st)
         assert np.abs(du.c).max() < 1e-14
         assert rel_err(dB.c, -B0.c) < 1e-13
 
     def test_divergence_free_outputs(self, g2):
         st = random_state(g2)
-        du, dB = s25.rhs_25d(st, P1)
+        du, dB = rhs(st)
         assert du.divergence_residual() < 1e-12
         assert dB.divergence_residual() < 1e-12
 
@@ -78,7 +69,7 @@ class TestRewrittenB:
     def test_agreement(self, g2, eps):
         params = PhysicalParams(1.0, 1.0, eps)
         st = random_state(g2, seed=7, params=params)
-        _, dB = s25.rhs_25d(st, params)
+        _, dB = rhs(st, params)
         rw = s25.rewritten_B_rhs(st, params, physical_uB(st))
         assert rel_err(rw.c, dB.c) < 1e-11
 
@@ -116,7 +107,7 @@ class TestLiftTo3D:
     @pytest.mark.parametrize("params", PARAMS)
     def test_rhs_matches_3d_reference(self, params):
         u0, B0 = s25.make_initial_25d(self.G2, "random_band", 0.3, seed=51)
-        du2, dB2 = s25.rhs_25d(s25.make_state_25d(u0, B0, params), params)
+        du2, dB2 = rhs(s25.make_state_25d(u0, B0, params), params)
         du3, dB3 = oracle3d.rhs_physical(s3.SimState3D(0.0, self.lift(u0), self.lift(B0)), params)
         assert self.slice_err(du3, du2) < 1e-13
         assert self.slice_err(dB3, dB2) < 1e-13

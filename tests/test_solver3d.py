@@ -609,6 +609,22 @@ class TestInitialData:
             s3.make_initial(g3, "random_band", -1.0, seed=0)
 
 
+class TestState:
+    def test_fields_on_another_lattice_rejected(self, g3):
+        """u, B and v share u's lattice: a field of another n or dimension
+        would be gathered onto the wrong modes."""
+        u, B = s3.make_initial(g3, "random_band", 0.05, seed=31)
+        _, B24 = s3.make_initial(GridSpec.create(3, 24), "random_band", 0.05, seed=31)
+        flat = SpectralField.zeros(GridSpec.create(2, g3.n))
+        with pytest.raises(ValueError, match="one lattice"):
+            s3.make_state(u, B24, P1)
+        with pytest.raises(ValueError, match="one lattice"):
+            s3.make_state(flat, B, P1)
+        with pytest.raises(ValueError, match="one lattice"):
+            s3.SimState3D(0.0, u, B, flat)
+        assert s3.make_state(u, B, P1, extended=True).grid is g3
+
+
 class TestScalingCovariance:
     def test_lambda_one_trivial(self, g3_32):
         u = random_field(g3_32, 1, 2.4, seed=1) * 0.2
