@@ -3,9 +3,9 @@
 Subcommands: run (one configured simulation), experiment (a preset
 orchestration), check (static identity/probe suites), inspect (snapshot
 header dump).  Exit codes: 0 pass, 1 monitor failure, 2 configuration
-or input error (any ValueError the library raises on its inputs, or an
-output directory that a file blocks), 3 numeric failure (NumericsError,
-FloatingPointError).
+or input error (any ValueError the library raises on its inputs, an
+output directory that a file blocks, or a path it may not read or
+write), 3 numeric failure (NumericsError, FloatingPointError).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (SnapshotFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError, ValueError) as e:
+            NotADirectoryError, PermissionError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (NumericsError, FloatingPointError) as e:

@@ -4,7 +4,10 @@ directory.  Every output byte is determined by (config, seed).
 
 3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
 3D physical system on a 2D lattice); a per-dimension monitor supplies
-the dissipation integrands, the sample rows and the summary keys.  Both
+the dissipation integrands, the sample rows and the summary keys.  The
+integrands, one per step, are integrated once after the loop by
+diagnostics.cumulative_simpson (numpy only; the run path imports no
+SciPy module but scipy.fft).  Both
 monitors read every record norm from the session's compact band.  The
 t = 0 step guard reads its maxima from the session's stage-1 term,
 which step 1 reuses.  A 2.5D sample's full-lattice certificate runs on
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import solver25d as s25
 from . import solver3d as s3
@@ -31,6 +33,7 @@ from .diagnostics import (
     budget_residuals,
     budget_terms,
     cancellation_check,
+    cumulative_simpson,
     decay_monitor,
     energy_drift_series,
     fit_budget_6100,
@@ -171,8 +174,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     snapshot("snap_final.hmhd", session.state())
 
     # cumulative dissipation integrals int_0^t ||grad .||^2, one per column
-    cum = [cumulative_simpson(np.asarray(col), dx=cfg.dt, initial=0.0)
-           for col in zip(*integrands)]
+    cum = [cumulative_simpson(col, cfg.dt) for col in zip(*integrands)]
     idx = np.array([r["istep"] for r in samples])
     t_arr = np.array([r["t"] for r in samples])
     l2u2 = np.array([r["l2u2"] for r in samples])

@@ -10,6 +10,7 @@ from hallmhd.diagnostics import (
     budget_residuals,
     budget_terms,
     cancellation_check,
+    cumulative_simpson,
     decay_monitor,
     energy_drift_series,
     fit_budget_6100,
@@ -100,6 +101,30 @@ class TestBudget:
         st = s3.make_state(u0, B0, P1, extended=True)
         c = fit_budget_6100([budget_terms(st, P1)])
         assert np.isfinite(c) and c >= 0.0
+
+
+class TestCumulativeSimpson:
+    """The run's dissipation integrator against SciPy's, whose bits every
+    run artifact was written with."""
+
+    @pytest.mark.parametrize("dx", [5e-4, 1e-3, 1.3e-3, 2e-3, 1e-2])
+    def test_bit_identical_to_scipy(self, dx):
+        from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+        rng = np.random.default_rng(int(dx * 1e4))
+        for n in [*range(2, 41), 151, 1001, 1002]:
+            for mag in (1e-12, 1e-8, 1e-4, 1.0, 1e2):
+                for y in (mag * rng.random(n), mag * rng.standard_normal(n)):
+                    want = scipy_cumulative_simpson(y, dx=dx, initial=0.0)
+                    got = cumulative_simpson(tuple(y), dx)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, mag)
+
+    @pytest.mark.parametrize("n", [3, 4, 11, 12])
+    def test_exact_for_quadratics(self, n):
+        t = np.linspace(0.0, 1.0, n)
+        got = cumulative_simpson(1.0 - 3.0 * t + 6.0 * t ** 2, t[1])
+        assert np.allclose(got, t - 1.5 * t ** 2 + 2.0 * t ** 3, rtol=0, atol=1e-15)
 
 
 class TestRunMonitors:

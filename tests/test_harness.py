@@ -2,6 +2,9 @@
 and the CLI exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +633,25 @@ class TestPresets:
         assert out["threshold_lo"] < out["threshold_hi"] < np.inf
 
 
+class TestImportSet:
+    def test_library_imports_no_scipy_beyond_fft(self):
+        """The run path needs numpy and scipy.fft only: none of the heavier
+        scipy subpackages may load with the library (checked in a fresh
+        interpreter, since the tests import scipy.integrate themselves)."""
+        import hallmhd
+
+        code = ("import sys, hallmhd\n"
+                "from hallmhd import checks, cli, presets, probes, runner, solver3d, solver25d\n"
+                "print(' '.join(sorted(sys.modules)))")
+        env = dict(os.environ)
+        src = str(Path(hallmhd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        heavy = {"scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"}
+        assert not heavy.intersection(out)
+
+
 class TestCli:
     def test_run_and_inspect_roundtrip(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
@@ -673,6 +695,26 @@ class TestCli:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("input error: ") and "Traceback" not in err
+
+    def test_permission_denied_exit_2(self, tmp_path, monkeypatch, capsys):
+        """A path the process may not create or read is an input error: the
+        output directory of run and experiment, the snapshot of inspect.
+        Path methods are patched, because file modes do not stop a
+        superuser."""
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("n = 16\ndt = 1e-3\nt_end = 0.002\n")
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(Path, "mkdir", denied)
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        for argv in (["run", "--config", str(cfgfile), "--out", out],
+                     ["experiment", "fujita-kato-3d", "--n", "16", "--out", out],
+                     ["inspect", str(tmp_path / "snap.hmhd")]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and "Permission denied" in err
 
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch):
         import hallmhd.cli as climod

@@ -9,7 +9,8 @@ N = 64 run with periodic snapshots, a 3D physical N = 24 run with mu != nu
 and periodic snapshots, the weak-strong-3d, small-data-2p5d,
 freq-split-3d and threshold-bisect presets (cut short or at N = 16), four
 2.5D runs (one at N = 128, where the stepper may take two lanes and each
-sample's certificate runs inline) and two compute_budgets runs, the `check`
+sample's certificate runs inline), two compute_budgets runs, a one-step 3D
+and a two-step 2.5D run (the shortest dissipation series), the `check`
 output, `inspect` of a snapshot, and probe CSVs.  Takes about half a minute
 on one core.  Run it at both versions, with two CPUs and under
 `taskset -c 0`, and diff the listings.
@@ -45,6 +46,10 @@ RUNS = {
     "budgets-n16-every-step": dict(dimension=3.0, formulation="extended", n=16,
                                    t_end=0.01, sample_every=1, compute_budgets=True,
                                    budget_s=0.5),
+    # two and three dissipation samples: the integrator's trapezoid branch
+    # and its shortest Simpson series
+    "phys3d-n16-one-step": dict(dimension=3.0, n=16, t_end=1e-3, sample_every=1, seed=2),
+    "2p5d-n16-two-steps": dict(dimension=2.5, n=16, t_end=2e-3, sample_every=1, seed=6),
 }
 
 EXPERIMENTS = {
