@@ -7,11 +7,16 @@ axis keeps only k_d in [0, n/2] and the missing modes are the complex
 conjugates of stored ones.  ``pair_weight`` carries the resulting
 multiplicity (2 on duplicated modes, 1 on the self-conjugate planes)
 so that mode sums over the stored lattice equal full-lattice sums.
+
+GridSpec.create keeps one grid per lattice (dim, n), the 8 most recently
+asked for, with its arrays read-only: every caller of a lattice shares
+the one grid, and so the stepper that solver3d.get_stepper keys on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +25,7 @@ __all__ = ["GridSpec"]
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Geometry of one periodic spectral grid (immutable, cached arrays)."""
+    """Geometry of one periodic spectral grid (immutable, read-only arrays)."""
 
     dim: int
     n: int
@@ -33,6 +38,7 @@ class GridSpec:
     shell_radii: np.ndarray = field(repr=False, default=None)
 
     @classmethod
+    @lru_cache(maxsize=8)
     def create(cls, dim: int, n: int) -> "GridSpec":
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -66,6 +72,8 @@ class GridSpec:
 
         shells = np.unique(k2.round().astype(np.int64))
         shell_radii = np.sqrt(shells.astype(np.float64))
+        for a in (*kvec, k2, kabs, inv_k2, mask, weight, shell_radii):
+            a.flags.writeable = False  # the grid is shared by every caller
 
         return cls(
             dim=dim,

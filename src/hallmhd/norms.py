@@ -10,8 +10,6 @@ below probe tolerances).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .fields import SpectralField
@@ -55,15 +53,10 @@ def inhomogeneous_hs_norm(f: SpectralField, s: float) -> float:
     return _mode_norm(f.grid, f.c, (1.0 + f.grid.k2) ** s)
 
 
-@lru_cache(maxsize=8)
-def _fine_grid(dim: int, n: int) -> GridSpec:
-    return GridSpec.create(dim, n)
-
-
 def _oversampled_values(grid: GridSpec, c: np.ndarray, oversample: int) -> np.ndarray:
     if oversample <= 1:
         return to_physical(grid, c)
-    fine = _fine_grid(grid.dim, grid.n * oversample)
+    fine = GridSpec.create(grid.dim, grid.n * oversample)
     return to_physical(fine, spectral_pad(grid, c, fine))
 
 

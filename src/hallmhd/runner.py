@@ -13,7 +13,11 @@ t = 0 step guard reads its maxima from the session's stage-1 term,
 which step 1 reuses.  A 2.5D sample's full-lattice certificate runs on
 the stepper's lane-1 worker thread while the run steps on, when that
 worker is idle (two CPUs allowed, 2D N < 128), and inline otherwise;
-run() collects every certificate before the records."""
+run() collects every certificate before the records.  The latest sample
+is kept as the session's (t, compact fields), scattered only to flush
+snap_last_good.hmhd; the initial state and each snapshot's are dropped
+once written, so past sample 0 the loop holds at most one full-lattice
+state (that of the sample or snapshot being taken)."""
 
 from __future__ import annotations
 
@@ -132,15 +136,15 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         write_snapshot(out / name, st.t, [st.u, st.B] + ([st.v] if st.extended else []))
 
     samples: list[dict] = []
-    last_good = None  # the state at the latest sample
+    last_good = None  # the session's (t, compact fields) at the latest sample
 
     def sample(istep: int, before: tuple | None = None) -> None:
         nonlocal last_good
         if not session.finite():
             raise FloatingPointError("non-finite fields")
-        st = session.state()
-        samples.append(monitor.sample(istep, st, last_good, before))
-        last_good = st
+        prev_t = last_good[0] if last_good is not None else None
+        samples.append(monitor.sample(istep, session.state(), prev_t, before))
+        last_good = (session.t, session.fields)
 
     integrands = [monitor.dissipation()]
     snap_times = []
@@ -149,6 +153,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     try:
         sample(0)
         snapshot("snap_initial.hmhd", state0)
+        state0 = None  # from here the session holds the run's only state
         for i in range(1, nsteps + 1):
             sampled = i % cfg.sample_every == 0 or i == nsteps
             # advance() builds new arrays; keep the old ones only on request
@@ -158,14 +163,13 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
             if sampled:
                 sample(i, before)
             if session.t >= next_snap - 1e-12:
-                st = session.state()
-                snapshot(f"snap_t{st.t:.6f}.hmhd", st)
-                snap_times.append(st.t)
+                snapshot(f"snap_t{session.t:.6f}.hmhd", session.state())
+                snap_times.append(session.t)
                 next_snap += cfg.snapshot_every
         monitor.collect()
     except (CFLError, FloatingPointError) as e:
         monitor.collect()  # an earlier sample's failed certificate comes first
-        flush = last_good if last_good is not None else state0
+        flush = state0 if last_good is None else session.state(last_good)
         snapshot("snap_last_good.hmhd", flush)
         raise NumericsError(f"{e} at step {i} (t={i * cfg.dt:.6g}); last good "
                             f"snapshot (t={flush.t:.6g}) flushed") from e
@@ -254,7 +258,7 @@ class _Monitor3D:
     def collect(self, fill: bool = True) -> None:
         """A 3D sample leaves no work pending."""
 
-    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
+    def sample(self, istep: int, st: s3.SimState3D, prev_t: float | None,
                before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
         sp = session.sp
@@ -280,11 +284,11 @@ class _Monitor3D:
             self.budget_rows.append(bt)
             row.update({f"a{i}": bt[f"a{i}"] for i in range(1, 9)})
             row["cancellation"] = cancellation_check(st.v, st.B)
-            if prev is not None:
-                h = st.t - prev.t
+            if prev_t is not None:
+                h = st.t - prev_t
                 (p05, pss), (c05, css) = self.budget_prev, terms
                 self.budget_residuals.append(
-                    {"t": 0.5 * (prev.t + st.t),
+                    {"t": 0.5 * (prev_t + st.t),
                      "s05": budget_residuals(p05, c05, h, params),
                      "ss": budget_residuals(pss, css, h, params)}
                 )
@@ -370,9 +374,9 @@ class _Monitor25D:
         return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
                 s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
 
-    def sample(self, istep: int, st: s3.SimState3D, prev: s3.SimState3D | None,
+    def sample(self, istep: int, st: s3.SimState3D, prev_t: float | None,
                before: tuple | None) -> dict:
-        """`prev` is the state at the previous sample, `before` the
+        """`prev_t` is the time of the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
         hs2 = self.session.hs2
@@ -388,13 +392,13 @@ class _Monitor25D:
         })
         _, dB = s25.rhs_25d(self.session)  # the next step's stage 1
         if self.pool is None:
-            row.update(self._certify(st, prev, before, dB))
+            row.update(self._certify(st, prev_t, before, dB))
         else:
             self.collect(keep=_CERT_QUEUE - 1)
-            self.pending.append((row, self.pool.submit(self._certify, st, prev, before, dB)))
+            self.pending.append((row, self.pool.submit(self._certify, st, prev_t, before, dB)))
         return row
 
-    def _certify(self, st, prev, before, dB) -> dict:
+    def _certify(self, st, prev_t, before, dB) -> dict:
         """The sample's e_residual and rewritten_res."""
         params = self.params
         phys = to_physical(st.grid, np.stack([st.u.c, st.B.c]))
@@ -402,10 +406,11 @@ class _Monitor25D:
         if self.e_law:
             terms = s25.E_law_terms(st, params, phys[0])
             if before is not None:  # the state one step before this sample
-                prev = s3.SimState3D(before[0], *map(self.session.sp.scatter_field, before[1]))
-                self.terms = s25.E_law_terms(prev, params, prev.u.to_physical())
-            if prev is not None:
-                e_res = s25.E_residual(self.terms, terms, params, st.t - prev.t)
+                st_before = self.session.state(before)
+                self.terms = s25.E_law_terms(st_before, params, st_before.u.to_physical())
+                prev_t = before[0]
+            if prev_t is not None:
+                e_res = s25.E_residual(self.terms, terms, params, st.t - prev_t)
             self.terms = terms
         rw = s25.rewritten_B_rhs(st, params, phys)
         scale = max(float(np.abs(dB.c).max()), 1e-300)

@@ -457,7 +457,14 @@ _STEPPER_CACHE: dict[tuple, _Stepper3D] = {}
 
 
 def get_stepper(grid: GridSpec, params: PhysicalParams, dt: float, extended: bool) -> _Stepper3D:
-    key = (id(grid), params.mu, params.nu, params.eps, dt, extended)
+    """The stepper of (grid, params, dt, formulation), built on first use
+    for the CPU plan (two CPUs allowed or not) and the calling thread: its
+    lane plan is fixed when it is built, and it serves one advancing agent
+    at a time.  GridSpec.create shares one grid per lattice, so callers
+    of one lattice share its stepper."""
+    two_cpus = len(os.sched_getaffinity(0)) >= 2
+    key = (id(grid), params.mu, params.nu, params.eps, dt, extended, two_cpus,
+           threading.get_ident())
     st = _STEPPER_CACHE.get(key)
     if st is None:
         if len(_STEPPER_CACHE) > 8:
@@ -514,11 +521,11 @@ class StepSession:
         self.fields = self.sp.advance(self.fields, self.control, stage1)
         self.t += self.control.dt
 
-    def state(self) -> SimState3D:
-        u = self.sp.scatter_field(self.fields[0])
-        B = self.sp.scatter_field(self.fields[1])
-        v = self.sp.scatter_field(self.fields[2]) if self.extended else None
-        return SimState3D(self.t, u, B, v)
+    def state(self, saved: tuple | None = None) -> SimState3D:
+        """The current state on the full lattice, or that of a (t, fields)
+        pair saved from this session earlier."""
+        t, fields = saved if saved is not None else (self.t, self.fields)
+        return SimState3D(t, *map(self.sp.scatter_field, fields))
 
     def hs2(self, which: str, s: float) -> float:
         """Squared H^s norm of one evolved field ('u', 'B', 'v'), of the

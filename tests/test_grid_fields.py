@@ -21,6 +21,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.create(4, 16)
 
+    def test_one_read_only_grid_per_lattice(self):
+        g = GridSpec.create(3, 16)
+        assert GridSpec.create(3, 16) is g
+        assert GridSpec.create(2, 16) is not g
+        for a in (*g.kvec, g.k2, g.kabs, g.inv_k2, g.dealias_mask, g.pair_weight,
+                  g.shell_radii):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
     def test_dealias_mask_two_thirds(self):
         g = GridSpec.create(3, 32)
         cutoff = 32 / 3.0

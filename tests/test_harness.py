@@ -361,6 +361,53 @@ class TestRunner:
         run(cfg, out_dir=tmp_path / "c")
         assert len(calls) == 2 * k + 1
 
+    def test_peak_memory_under_four_states(self, tmp_path):
+        """After a warm-up run of the same config has built the grid and
+        the stepper, a 3D extended run with periodic snapshots holds less
+        than four full-lattice (u, B, v) states at its peak."""
+        import tracemalloc
+
+        from hallmhd.grid import GridSpec
+
+        cfg = RunConfig(dimension=3.0, formulation="extended", n=32, t_end=0.01,
+                        sample_every=2, snapshot_every=0.002)
+        run(cfg, out_dir=tmp_path / "warm")
+        state_bytes = 9 * 16 * np.prod(GridSpec.create(3, 32).spectral_shape)
+        tracemalloc.start()
+        try:
+            run(cfg, out_dir=tmp_path / "measured")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state_bytes, peak / state_bytes
+
+    @pytest.mark.parametrize("dimension, formulation", [(3.0, "extended"), (2.5, "physical")])
+    def test_last_good_snapshot_is_the_sample_snapshot(self, tmp_path, monkeypatch,
+                                                       dimension, formulation):
+        """A run that fails at step 7, after the sample at step 4, flushes
+        the bytes that a clean run of the same config writes as its
+        periodic snapshot at that sample's time."""
+        from hallmhd import solver3d as s3
+
+        cfg = RunConfig(dimension=dimension, formulation=formulation, n=16, dt=1e-3,
+                        t_end=0.012, sample_every=4, snapshot_every=0.004,
+                        amplitude=0.1, seed=3)
+        run(cfg, out_dir=tmp_path / "clean")
+        advance, calls = s3._Stepper3D.advance, []
+
+        def poisoned(self, fields, control, *args):
+            calls.append(None)
+            if len(calls) == 7:  # poison a copy: the session's fields stay finite
+                fields = [f.copy() for f in fields]
+                fields[0][1, 1] = np.nan
+            return advance(self, fields, control, *args)
+
+        monkeypatch.setattr(s3._Stepper3D, "advance", poisoned)
+        with pytest.raises(NumericsError, match="at step 7 "):
+            run(cfg, out_dir=tmp_path / "failed")
+        flushed = (tmp_path / "failed" / "snap_last_good.hmhd").read_bytes()
+        assert flushed == (tmp_path / "clean" / "snap_t0.004000.hmhd").read_bytes()
+
     def test_freq_split_monitoring(self, tmp_path):
         cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3,
                         t_end=0.05, sample_every=10, amplitude=0.02,

@@ -481,6 +481,31 @@ class TestLanes:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+class TestSharedStepper:
+    """get_stepper builds one stepper per (lattice, params, dt,
+    formulation, CPU plan, thread); a stepper's lane plan is fixed when
+    it is built, and its lanes serve one thread."""
+
+    def test_one_stepper_for_two_creates(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        sp = s3.get_stepper(GridSpec.create(3, 16), P1, 1e-3, False)
+        assert s3.get_stepper(GridSpec.create(3, 16), P1, 1e-3, False) is sp
+
+    def test_cpu_plan_and_thread_get_their_own(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        g = GridSpec.create(3, 32)
+        two = s3.get_stepper(g, P1, 1e-3, False)
+        assert len(two.lanes) == 2
+        other = []
+        thread = threading.Thread(target=lambda: other.append(s3.get_stepper(g, P1, 1e-3, False)))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and other[0] is not two
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = s3.get_stepper(g, P1, 1e-3, False)
+        assert one is not two and len(one.lanes) == 1
+
+
 class TestBatching:
     """Below _LANE_MIN_POINTS points per component each phase is one job
     that transforms all components at once; its results are bit for bit

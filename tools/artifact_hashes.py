@@ -10,7 +10,8 @@ and periodic snapshots, the weak-strong-3d, small-data-2p5d,
 freq-split-3d and threshold-bisect presets (cut short or at N = 16), four
 2.5D runs (one at N = 128, where the stepper may take two lanes and each
 sample's certificate runs inline), two compute_budgets runs, a one-step 3D
-and a two-step 2.5D run (the shortest dissipation series), the `check`
+and a two-step 2.5D run (the shortest dissipation series), a 3D extended
+run that breaks a step guard mid-run (its snap_last_good.hmhd), the `check`
 output, `inspect` of a snapshot, and probe CSVs.  Takes about half a minute
 on one core.  Run it at both versions, with two CPUs and under
 `taskset -c 0`, and diff the listings.
@@ -24,10 +25,16 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hallmhd import RunConfig, run
 from hallmhd.cli import main as cli_main
+from hallmhd.grid import GridSpec
+from hallmhd.params import PhysicalParams, StepControl, required_dt
 from hallmhd.presets import experiment
 from hallmhd.probes import inequality_probe, kato_ponce_probe
+from hallmhd.runner import NumericsError
+from hallmhd.solver3d import make_initial
 
 RUNS = {
     "ext3d-n64": dict(dimension=3.0, formulation="extended", n=64, amplitude=0.1,
@@ -60,6 +67,18 @@ EXPERIMENTS = {
 }
 
 
+def blowup_config() -> RunConfig:
+    """Extended N = 16 data at amplitude 1 with dt at 0.98 of the t = 0
+    step guard, 200 steps: a step guard fails mid-run, after a sample."""
+    grid, params = GridSpec.create(3, 16), PhysicalParams(0.02, 0.02, 1.0)
+    u0, B0 = make_initial(grid, "random_band", 1.0, seed=4)
+    dt = 0.98 * required_dt(grid, params, StepControl(dt=1, t_end=1),
+                            float(np.abs(u0.to_physical()).max()),
+                            float(np.abs(B0.to_physical()).max()))
+    return RunConfig(dimension=3.0, formulation="extended", n=16, mu=0.02, nu=0.02,
+                     amplitude=1.0, seed=4, dt=dt, t_end=200 * dt, sample_every=5)
+
+
 def _captured(argv: list[str]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -70,6 +89,10 @@ def _captured(argv: list[str]) -> str:
 def produce(out: Path) -> None:
     for name, kw in RUNS.items():
         run(RunConfig(**kw), out_dir=out / name)
+    try:
+        run(blowup_config(), out_dir=out / "ext3d-n16-blowup")
+    except NumericsError:
+        pass
     for preset, kw in EXPERIMENTS.items():
         experiment(preset, out / preset, seed=0, **kw)
     cli = out / "cli"
