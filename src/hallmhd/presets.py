@@ -1,8 +1,13 @@
-"""Experiment presets: canned run configurations and orchestrations, one
-per certified statement (small-data global existence, decay, frequency
-splitting, weak-strong uniqueness, the 2.5D results, and the empirical
-smallness threshold).  Every pass/fail criterion defers to the
-diagnostics monitors; presets add none of their own."""
+"""Experiment presets, one per certified statement (small-data global
+existence, decay, frequency splitting, weak-strong uniqueness, the 2.5D
+results, and the empirical smallness threshold).
+
+PRESETS is the one table of them: each entry holds the statement, the
+kind of orchestration ("run": one runner.run; "twins": the weak-strong
+twin runs; "bisect": the threshold bisection's probe runs) and the base
+RunConfig, which `experiment` overrides with seed, n, dt and t_end.
+Every pass/fail criterion defers to the diagnostics monitors; presets
+add none of their own."""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver3d as s3
 from .config import ConfigError, RunConfig
 from .diagnostics import weakstrong_monitor
 from .grid import GridSpec
@@ -27,97 +31,75 @@ __all__ = ["ExperimentPreset", "PRESETS", "experiment", "preset_run_config",
 
 @dataclass(frozen=True)
 class ExperimentPreset:
+    """One PRESETS entry; its `config` is only ever handed out as a copy."""
+
     id: str
     statement: str
-    description: str
+    kind: str  # "run" | "twins" | "bisect"
+    config: RunConfig
 
 
 PRESETS = {
     p.id: p
     for p in (
         ExperimentPreset(
-            "fujita-kato-3d",
-            "small-data global existence (critical norm nonincreasing)",
-            "extended 3D run at small amplitude; monotonicity, integrated "
-            "decay inequality, energy balance and decay must pass",
-        ),
+            "fujita-kato-3d", "small-data global existence (critical norm nonincreasing)",
+            "run", RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0, dt=1e-3,
+                             t_end=1.5, sample_every=10, amplitude=1e-2, decay_fraction=0.1)),
         ExperimentPreset(
-            "decay-3d",
-            "long-time decay of the critical triple norm",
-            "long extended 3D run; the triple norm must fall below a "
-            "configured fraction of its initial value",
-        ),
+            "decay-3d", "long-time decay of the critical triple norm",
+            "run", RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0, dt=2e-3,
+                             t_end=10.0, sample_every=25, amplitude=1e-2,
+                             decay_fraction=1e-4, tol_energy_drift=5e-6)),
         ExperimentPreset(
-            "freq-split-3d",
-            "frequency-splitting machinery",
-            "ball/annulus filters partition the spectrum exactly and the "
-            "high-frequency energy decays monotonically after one sample",
-        ),
+            "freq-split-3d", "frequency-splitting machinery",
+            "run", RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0, dt=1e-3,
+                             t_end=0.5, sample_every=10, amplitude=0.02, band_lo=1.0,
+                             band_hi=6.0, filter_rho=2.5)),
         ExperimentPreset(
-            "weak-strong-3d",
-            "weak-strong uniqueness (twin-run difference estimate)",
-            "identical data give identically zero differences; a small "
-            "perturbation obeys the Gronwall-form difference bound with a "
-            "finite fitted constant",
-        ),
+            "weak-strong-3d", "weak-strong uniqueness (twin-run difference estimate)",
+            "twins", RunConfig(dimension=3.0, formulation="physical", n=32, mu=1.0, nu=1.0,
+                               eps=1.0, dt=1e-3, t_end=0.5, sample_every=20,
+                               init_kind="random_band", amplitude=0.05)),
         ExperimentPreset(
-            "small-data-2p5d",
-            "2.5D small-data global existence (energy equality)",
-            "2.5D run with small data; energy balance is an equality and "
-            "the combined-field law holds to integrator accuracy",
-        ),
+            "small-data-2p5d", "2.5D small-data global existence (energy equality)",
+            "run", RunConfig(dimension=2.5, n=64, eps=1.0, dt=1e-3, t_end=1.0,
+                             sample_every=1, amplitude=0.05, band_hi=2.0)),
         ExperimentPreset(
-            "small-B-2p5d",
-            "2.5D global existence with only the magnetic field small",
-            "O(1) velocity, small magnetic field; vorticity a-priori bound "
-            "with fitted constant and current integrability are reported",
-        ),
+            "small-B-2p5d", "2.5D global existence with only the magnetic field small",
+            "run", RunConfig(dimension=2.5, n=64, eps=1.0, dt=1e-3, t_end=1.0, sample_every=1,
+                             amplitude=0.5, b_amplitude=0.02, band_hi=2.0,
+                             tol_energy_drift=1e-5)),
+        # the probes' base: each probe sets n, seed, mu = nu, the amplitude
+        # and its own steps
         ExperimentPreset(
-            "threshold-bisect",
-            "empirical smallness threshold",
-            "bisect the initial amplitude until the critical-norm "
-            "monotonicity monitor first fails",
-        ),
+            "threshold-bisect", "empirical smallness threshold",
+            "bisect", RunConfig(dimension=3.0, formulation="extended", n=32, mu=0.1, nu=0.1,
+                                eps=1.0, hall_cfl=0.5)),
     )
 }
 
 
 def preset_run_config(preset_id: str, seed: int = 0) -> RunConfig:
-    """Base RunConfig for run-backed presets (orchestration-only presets
-    have none and are rejected)."""
-    if preset_id == "fujita-kato-3d":
-        return RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0,
-                         dt=1e-3, t_end=1.5, sample_every=10, amplitude=1e-2,
-                         seed=seed, decay_fraction=0.1)
-    if preset_id == "decay-3d":
-        return RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0,
-                         dt=2e-3, t_end=10.0, sample_every=25, amplitude=1e-2,
-                         seed=seed, decay_fraction=1e-4, tol_energy_drift=5e-6)
-    if preset_id == "freq-split-3d":
-        return RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0,
-                         dt=1e-3, t_end=0.5, sample_every=10, amplitude=0.02,
-                         band_lo=1.0, band_hi=6.0, filter_rho=2.5, seed=seed)
-    if preset_id == "small-data-2p5d":
-        return RunConfig(dimension=2.5, n=64, eps=1.0, dt=1e-3, t_end=1.0,
-                         sample_every=1, amplitude=0.05, band_hi=2.0, seed=seed)
-    if preset_id == "small-B-2p5d":
-        return RunConfig(dimension=2.5, n=64, eps=1.0, dt=1e-3, t_end=1.0,
-                         sample_every=1, amplitude=0.5, b_amplitude=0.02,
-                         band_hi=2.0, seed=seed, tol_energy_drift=1e-5)
-    raise ConfigError(f"preset {preset_id!r} is not a single-run preset")
+    """A copy of a "run" preset's base RunConfig with the given seed (the
+    other kinds orchestrate several runs and are rejected)."""
+    preset = PRESETS.get(preset_id)
+    if preset is None or preset.kind != "run":
+        raise ConfigError(f"preset {preset_id!r} is not a single-run preset")
+    return replace(preset.config, seed=seed)
 
 
 # monotonicity probe and threshold bisection --------------------------------
 
 def _monotone_at_amplitude(amplitude: float, n: int, seed: int, t_probe: float,
-                           eps: float = 1.0, mu: float = 1.0) -> tuple[bool, dict]:
+                           mu: float = 1.0) -> tuple[bool, dict]:
     """True when the critical triple norm is nonincreasing (and the
     integrated inequality holds) along a short extended run; a run that
     fails numerically counts as failure."""
-    cfg = RunConfig(formulation="extended", n=n, mu=mu, nu=mu, eps=eps,
-                    amplitude=amplitude, seed=seed, hall_cfl=0.5)
+    cfg = replace(PRESETS["threshold-bisect"].config, n=n, mu=mu, nu=mu,
+                  amplitude=amplitude, seed=seed)
     grid = GridSpec.create(3, n)
-    params = PhysicalParams(mu, mu, eps)
+    params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
     st = build_initial(cfg, grid, params)
     umax = float(np.abs(st.u.to_physical()).max())
     bmax = float(np.abs(st.B.to_physical()).max())
@@ -176,13 +158,14 @@ def bisect_monotonicity_threshold(n: int = 16, seed: int = 0, t_probe: float = 0
 
 def _experiment_weak_strong(cfg: RunConfig) -> dict:
     grid = GridSpec.create(3, cfg.n)
-    params = PhysicalParams(1.0, 1.0, 1.0)
-    control = StepControl(dt=cfg.dt, t_end=cfg.t_end)
-    u0, B0 = s3.make_initial(grid, "random_band", 0.05, seed=cfg.seed)
+    params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
+    control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
+    st = build_initial(cfg, grid, params)
     pert = leray_project(single_mode_field(grid, (1, 1, 0), np.array([1e-6, -1e-6, 0.0])))
     # one reference run; the identical twin is its own session
     (_, ident), (deltas, summ) = weakstrong_monitor(
-        u0, B0, [(u0, B0), (u0 + pert, B0)], params, control, sample_every=20)
+        st.u, st.B, [(st.u, st.B), (st.u + pert, st.B)], params, control,
+        sample_every=cfg.sample_every)
     report = {
         "identical_sup_delta": ident["sup_delta"],
         "pass_identical": bool(ident["sup_delta"] <= 1e-13),
@@ -202,33 +185,28 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
                dt: float | None = None, t_end: float | None = None) -> dict:
     """Run one preset and write report.json (plus any run artifacts) into
     out_dir; returns the report dict with a top-level "pass"."""
-    if preset_id not in PRESETS:
+    preset = PRESETS.get(preset_id)
+    if preset is None:
         raise ConfigError(f"unknown preset {preset_id!r}; available: {sorted(PRESETS)}")
-    if preset_id == "threshold-bisect" and (dt is not None or t_end is not None):
-        raise ConfigError("threshold-bisect takes neither dt nor t_end "
+    if preset.kind == "bisect" and (dt is not None or t_end is not None):
+        raise ConfigError(f"{preset_id} takes neither dt nor t_end "
                           "(its probes choose their own steps)")
-    # the preset's inputs as a RunConfig, checked before anything is written
-    if preset_id == "weak-strong-3d":
-        base = RunConfig(n=32, dt=1e-3, t_end=0.5, seed=seed)
-    elif preset_id == "threshold-bisect":
-        base = RunConfig(n=32, seed=seed)
-    else:
-        base = preset_run_config(preset_id, seed=seed)
+    # the preset's inputs, checked before anything is written
     overrides = {"n": n, "dt": dt, "t_end": t_end}
-    cfg = replace(base, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    cfg = replace(preset.config, seed=seed,
+                  **{k: v for k, v in overrides.items() if v is not None}).validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if preset_id == "weak-strong-3d":
-        report = _experiment_weak_strong(cfg)
-    elif preset_id == "threshold-bisect":
-        report = bisect_monotonicity_threshold(n=cfg.n, seed=seed)
-        report["pass"] = bool(np.isfinite(report["threshold_hi"]))
-    else:
+    if preset.kind == "run":
         result = run(cfg, out_dir=out / "run")
         report = {"run_summary": result.summary, "pass": result.summary["pass"]}
+    elif preset.kind == "twins":
+        report = _experiment_weak_strong(cfg)
+    else:
+        report = bisect_monotonicity_threshold(n=cfg.n, seed=cfg.seed, mu=cfg.mu)
+        report["pass"] = bool(np.isfinite(report["threshold_hi"]))
 
-    report = {"preset": preset_id, "statement": PRESETS[preset_id].statement,
-              "seed": seed, **report}
+    report = {"preset": preset_id, "statement": preset.statement, "seed": seed, **report}
     write_json(out / "report.json", report)
     return report

@@ -17,7 +17,9 @@ run() collects every certificate before the records.  The latest sample
 is kept as the session's (t, compact fields), scattered only to flush
 snap_last_good.hmhd; the initial state and each snapshot's are dropped
 once written, so past sample 0 the loop holds at most one full-lattice
-state (that of the sample or snapshot being taken)."""
+state (that of the sample or snapshot being taken).  Each monitor
+scatters its own: a 2.5D sample for its certificate, a 3D one only under
+compute_budgets."""
 
 from __future__ import annotations
 
@@ -143,7 +145,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         if not session.finite():
             raise FloatingPointError("non-finite fields")
         prev_t = last_good[0] if last_good is not None else None
-        samples.append(monitor.sample(istep, session.state(), prev_t, before))
+        samples.append(monitor.sample(istep, prev_t, before))
         last_good = (session.t, session.fields)
 
     integrands = [monitor.dissipation()]
@@ -258,8 +260,7 @@ class _Monitor3D:
     def collect(self, fill: bool = True) -> None:
         """A 3D sample leaves no work pending."""
 
-    def sample(self, istep: int, st: s3.SimState3D, prev_t: float | None,
-               before: tuple | None) -> dict:
+    def sample(self, istep: int, prev_t: float | None, before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
         sp = session.sp
         vkey = "v" if extended else "v_of_uB"
@@ -278,6 +279,7 @@ class _Monitor3D:
             drift = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
         row["v_drift"] = drift
         if self.cfg.compute_budgets:  # validate() requires the extended formulation
+            st = session.state()
             s = self.cfg.budget_s
             bt = budget_terms(st, params, 0.5)
             terms = (bt, bt if s == 0.5 else budget_terms(st, params, s))
@@ -287,11 +289,9 @@ class _Monitor3D:
             if prev_t is not None:
                 h = st.t - prev_t
                 (p05, pss), (c05, css) = self.budget_prev, terms
-                self.budget_residuals.append(
-                    {"t": 0.5 * (prev_t + st.t),
-                     "s05": budget_residuals(p05, c05, h, params),
-                     "ss": budget_residuals(pss, css, h, params)}
-                )
+                self.budget_residuals.append(tuple(
+                    max(budget_residuals(p, c, h, params).values())
+                    for p, c in ((p05, c05), (pss, css))))
             self.budget_prev = terms
         return row
 
@@ -321,11 +321,8 @@ class _Monitor3D:
             out["highfreq_monotone_after_first"] = bool(
                 np.all(tail <= 1e-12 * max(hi[0], 1e-300)))
         if self.budget_residuals:
-            res = self.budget_residuals
-            out["budget_residual_max_s05"] = max(
-                max(b["s05"]["res_u"], b["s05"]["res_b"], b["s05"]["res_v"]) for b in res)
-            out["budget_residual_max_ss"] = max(
-                max(b["ss"]["res_u"], b["ss"]["res_b"], b["ss"]["res_v"]) for b in res)
+            out["budget_residual_max_s05"], out["budget_residual_max_ss"] = map(
+                max, zip(*self.budget_residuals))
             out["budget_c6100_fit"] = fit_budget_6100(self.budget_rows)
             out["cancellation_max"] = max(r.get("cancellation", 0.0) for r in samples)
         return out
@@ -374,11 +371,11 @@ class _Monitor25D:
         return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
                 s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
 
-    def sample(self, istep: int, st: s3.SimState3D, prev_t: float | None,
-               before: tuple | None) -> dict:
+    def sample(self, istep: int, prev_t: float | None, before: tuple | None) -> dict:
         """`prev_t` is the time of the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
+        st = self.session.state()  # the certificate's full-lattice state
         hs2 = self.session.hs2
         row = {"istep": istep, "t": st.t, **_norm_row(self.session, "v_of_uB")}
         h1u2, h2u2, h1b2, h2b2 = hs2("u", 1.0), hs2("u", 2.0), hs2("B", 1.0), hs2("B", 2.0)

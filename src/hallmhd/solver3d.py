@@ -358,12 +358,8 @@ class _Stepper3D:
             sum(ik[j] * T[(min(i, j), max(i, j))] for j in range(3))
             for i in range(3)
         ]))
-        self._zero_mean(force)
+        force[:, 0] = 0.0  # k = 0 is the band's first mode
         return force
-
-    def _zero_mean(self, c: np.ndarray) -> None:
-        if self.idx[0] == 0:
-            c[:, 0] = 0.0
 
     @staticmethod
     def mag2(comp: np.ndarray) -> np.ndarray:
@@ -447,7 +443,7 @@ class _Stepper3D:
         # hygiene: evolved fields stay exactly solenoidal and mean-free
         for y in new:
             self._project(y)
-            self._zero_mean(y)
+            y[:, 0] = 0.0
             if not np.isfinite(y.view(np.float64)).all():  # float view: half the cost
                 raise FloatingPointError("non-finite fields after stage 2")
         return new

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -381,6 +383,24 @@ class TestRunner:
             tracemalloc.stop()
         assert peak < 4 * state_bytes, peak / state_bytes
 
+    def test_3d_samples_scatter_only_under_budgets(self, tmp_path, monkeypatch):
+        """A 3D extended run without budgets reads its samples from the
+        compact band: StepSession.state runs only for the two periodic
+        snapshots and the final one, not for its three samples."""
+        from hallmhd import solver3d as s3
+
+        state, calls = s3.StepSession.state, []
+
+        def counted(session, saved=None):
+            calls.append(session.t)
+            return state(session, saved)
+
+        monkeypatch.setattr(s3.StepSession, "state", counted)
+        cfg = RunConfig(dimension=3.0, formulation="extended", n=16, dt=1e-3, t_end=0.01,
+                        sample_every=5, snapshot_every=0.005, amplitude=0.1, seed=11)
+        run(cfg, out_dir=tmp_path / "r")
+        assert calls == pytest.approx([0.005, 0.01, 0.01])
+
     @pytest.mark.parametrize("dimension, formulation", [(3.0, "extended"), (2.5, "physical")])
     def test_last_good_snapshot_is_the_sample_snapshot(self, tmp_path, monkeypatch,
                                                        dimension, formulation):
@@ -579,6 +599,53 @@ class TestPresets:
             assert cfg.validate()
         with pytest.raises(ConfigError):
             preset_run_config("weak-strong-3d")
+
+    @pytest.mark.parametrize("pid", sorted(PRESETS))
+    def test_preset_run_config_copies_the_run_entries(self, pid):
+        preset = PRESETS[pid]
+        if preset.kind != "run":
+            with pytest.raises(ConfigError, match="not a single-run preset"):
+                preset_run_config(pid)
+            return
+        cfg = preset_run_config(pid, seed=3)
+        assert cfg == replace(preset.config, seed=3) and cfg is not preset.config
+
+    @pytest.mark.parametrize("pid", sorted(PRESETS))
+    def test_experiment_runs_a_copy_of_the_table_entry(self, tmp_path, monkeypatch, pid):
+        """Each kind's orchestration receives the entry's RunConfig with
+        the seed and the given overrides; the bisection receives its n,
+        seed and mu."""
+        import hallmhd.presets as presets_mod
+
+        seen = []
+
+        def fake_run(cfg, out_dir):
+            seen.append(cfg)
+            return SimpleNamespace(summary={"pass": True})
+
+        def fake_twins(cfg):
+            seen.append(cfg)
+            return {"pass": True}
+
+        def fake_bisect(**kw):
+            seen.append(kw)
+            return {"threshold_hi": 1.0}
+
+        monkeypatch.setattr(presets_mod, "run", fake_run)
+        monkeypatch.setattr(presets_mod, "_experiment_weak_strong", fake_twins)
+        monkeypatch.setattr(presets_mod, "bisect_monotonicity_threshold", fake_bisect)
+        preset = PRESETS[pid]
+        table = replace(preset.config)
+        overrides = {"n": 16} if preset.kind == "bisect" else {"n": 16, "dt": 5e-4, "t_end": 0.01}
+        report = experiment(pid, tmp_path / "ex", seed=4, **overrides)
+        want = replace(preset.config, seed=4, **overrides)
+        [got] = seen
+        if preset.kind == "bisect":
+            assert got == {"n": want.n, "seed": want.seed, "mu": want.mu}
+        else:
+            assert got == want and got is not preset.config
+        assert preset.config == table  # the table entry is unchanged
+        assert report["statement"] == preset.statement and report["pass"]
 
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -6,15 +6,14 @@ between two versions of the library.
 Writes every artifact into OUT (which must not exist yet) and prints one
 `sha256  path` line per file, sorted by path.  The set: a 3D extended
 N = 64 run with periodic snapshots, a 3D physical N = 24 run with mu != nu
-and periodic snapshots, the weak-strong-3d, small-data-2p5d,
-freq-split-3d and threshold-bisect presets (cut short or at N = 16), four
-2.5D runs (one at N = 128, where the stepper may take two lanes and each
-sample's certificate runs inline), two compute_budgets runs, a one-step 3D
-and a two-step 2.5D run (the shortest dissipation series), a 3D extended
-run that breaks a step guard mid-run (its snap_last_good.hmhd), the `check`
-output, `inspect` of a snapshot, and probe CSVs.  Takes about half a minute
-on one core.  Run it at both versions, with two CPUs and under
-`taskset -c 0`, and diff the listings.
+and periodic snapshots, all seven presets (cut short, or at N = 16 or 32),
+four 2.5D runs (one at N = 128, where the stepper may take two lanes and
+each sample's certificate runs inline), two compute_budgets runs, a
+one-step 3D and a two-step 2.5D run (the shortest dissipation series), a
+3D extended run that breaks a step guard mid-run (its snap_last_good.hmhd),
+the `check` output, `inspect` of a snapshot, and probe CSVs.  Takes about
+5 s on a 2-vCPU machine, with two CPUs or one.  Run it at both versions,
+with two CPUs and under `taskset -c 0`, and diff the listings.
 """
 
 from __future__ import annotations
@@ -64,6 +63,9 @@ EXPERIMENTS = {
     "small-data-2p5d": dict(t_end=0.15),
     "freq-split-3d": dict(n=16, t_end=0.1),
     "threshold-bisect": dict(n=16),
+    "fujita-kato-3d": dict(n=16, t_end=0.05),
+    "decay-3d": dict(n=16, t_end=0.1),
+    "small-B-2p5d": dict(n=32, t_end=0.05),
 }
 
 
