@@ -50,7 +50,6 @@ class RunConfig:
     budget_s: float = 1.0
     snapshot_every: float = 0.0     # in time units; 0 = initial + final only
     out_dir: str = "out"
-    tol_energy_drift: float = 1e-6
     decay_fraction: float = 1.0     # assert final/initial triple norm <= this
 
     def validate(self) -> "RunConfig":
@@ -101,6 +100,8 @@ class RunConfig:
             raise ConfigError("amplitude must be positive")
         if self.band_lo > self.band_hi:
             raise ConfigError(f"band_lo={self.band_lo} exceeds band_hi={self.band_hi}")
+        if not 0 < self.decay_fraction <= 1:
+            raise ConfigError("decay_fraction must be in (0, 1]")
         if self.filter_rho < 0:
             raise ConfigError("filter_rho must be nonnegative")
         if self.budget_s <= 0:
@@ -114,9 +115,6 @@ class RunConfig:
         if self.snapshot_every > 0 and max(self.dt, self.snapshot_every - self.dt) <= 1e-6:
             raise ConfigError("snapshot times can fall within 1e-6 of each other, "
                               "and their names (t to 6 decimals) would collide")
-        for f in dataclass_fields(self):
-            if f.name.startswith("tol_") and getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be nonnegative")
         return self
 
 

@@ -1,6 +1,6 @@
 """Quantitative monitors: energy budgets, the critical-regularity budget
 A1..A8 (and its H^s analogue), cancellation and adjointness residuals,
-monotonicity / decay monitors, and the weak-strong twin-run comparator.
+and monotonicity / decay monitors.  None of them steps a session.
 
 Conventions.  The tensor pairing is (T | grad w) = sum_{jk} <T_jk, d_k w_j>;
 with this convention the budget identities read, for the extended system
@@ -31,12 +31,11 @@ from .fields import SpectralField, l2_inner, pairing
 from .grid import GridSpec
 from .norms import hs_norm
 from .operators import apply_lambda_scalar, curl3, to_physical, to_spectral
-from .params import PhysicalParams, StepControl, step_count
-from .solver3d import SimState3D, StepSession, _SYM, make_state
+from .params import PhysicalParams
+from .solver3d import SimState3D, _SYM
 
 __all__ = [
     "DiagnosticsRecord",
-    "TwinRunDelta",
     "RECORD_COLUMNS",
     "write_records_csv",
     "budget_terms",
@@ -47,7 +46,6 @@ __all__ = [
     "energy_drift_series",
     "monotonicity_monitor",
     "decay_monitor",
-    "weakstrong_monitor",
     "fit_budget_6100",
 ]
 
@@ -299,111 +297,3 @@ def decay_monitor(t: np.ndarray, triple12_sq: np.ndarray) -> dict:
     ratio = float(y[-1] / y[0]) if y[0] > 0 else 0.0
     return {"fitted_rate": rate, "final_over_initial": ratio,
             "initial": float(y[0]), "final": float(y[-1])}
-
-
-# weak-strong twin runs -----------------------------------------------------
-
-@dataclass
-class TwinRunDelta:
-    """One sample of the difference between two lock-stepped runs."""
-
-    t: float
-    du: float
-    dB: float
-    dv: float
-    grad_du_int: float
-    grad_dB_int: float
-    gronwall_int: float  # int ||(du,dB)||^2 ||(u,B,J)||^4 d tau
-
-
-def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
-                       twins: list[tuple[SpectralField, SpectralField]],
-                       params: PhysicalParams, control: StepControl,
-                       sample_every: int = 10) -> list[tuple[list[TwinRunDelta], dict]]:
-    """Advance a reference physical-formulation run from (uA, BA) and one
-    twin run per (uB, BB) in `twins` in lockstep, and certify for each
-    twin the difference estimate
-
-        ||(du,dB)(t)||^2 + mu int ||grad du||^2 + nu int ||grad dB||^2
-          <= C (1 + eps^4) / min(mu,nu)^3 * int ||(du,dB)||^2 ||(u,B,J)||^4
-
-    with C fitted as the smallest constant making it hold at all samples.
-    (1 + eps^4) is the actual sum of the five Young-split prefactors, so
-    the eps = 0 limit stays meaningful.
-
-    The reference is stepped once per step and each twin after it, all on
-    the shared stepper workspace.  A twin with the reference's data is
-    still its own session, so a zero difference certifies that no state
-    leaks between sessions.  Returns one (deltas, summary) per twin, in
-    order.  Raises ValueError when control.t_end is not an integer
-    multiple of control.dt.
-    """
-    if not twins:
-        raise ValueError("weak-strong comparison needs at least one twin run")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    for uB, _ in twins:
-        if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
-            raise ValueError("twin runs must share the grid")
-    nsteps = step_count(control.t_end, control.dt)
-    ref = StepSession(make_state(uA, BA, params), params, control)
-    sessions = [StepSession(make_state(uB, BB_, params), params, control) for uB, BB_ in twins]
-    sp = ref.sp
-    dt = control.dt
-
-    def weight_now() -> float:
-        h1 = ref.hs2("u", 1.0) + ref.hs2("B", 1.0) + ref.hs2("curl_B", 1.0)
-        return h1 ** 2
-
-    def diff2(twin: StepSession) -> tuple:
-        """Squared L2 and H1 norms of du and dB."""
-        du2, dB2 = (sp.mag2(r - f) for r, f in zip(ref.fields[:2], twin.fields[:2]))
-        return (sp.sum_hs2(du2, 0.0), sp.sum_hs2(dB2, 0.0),
-                sp.sum_hs2(du2, 1.0), sp.sum_hs2(dB2, 1.0))
-
-    def dv2(twin: StepSession) -> float:
-        """Squared L2 norm of dv = du - eps curl dB (read at samples only)."""
-        du_, dB_ = (r - f for r, f in zip(ref.fields[:2], twin.fields[:2]))
-        return sp.sum_hs2(sp.mag2(du_ - params.eps * sp._curl(dB_)), 0.0)
-
-    w = weight_now()
-    prev = [diff2(twin) for twin in sessions]
-    outs = [[TwinRunDelta(ref.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2(twin)), 0.0, 0.0, 0.0)]
-            for (du2, dB2, _, _), twin in zip(prev, sessions)]
-    # per twin: int ||grad du||^2, int ||grad dB||^2, the Gronwall integral
-    ints = [[0.0, 0.0, 0.0] for _ in twins]
-    for i in range(1, nsteps + 1):
-        ref.advance()
-        for twin in sessions:
-            twin.advance()
-        p_w, w = w, weight_now()
-        sampled = i % sample_every == 0 or i == nsteps
-        for k, twin in enumerate(sessions):
-            du2, dB2, gdu2, gdB2 = cur = diff2(twin)
-            p_du2, p_dB2, p_gdu2, p_gdB2 = prev[k]
-            acc = ints[k]
-            acc[0] += 0.5 * dt * (p_gdu2 + gdu2)
-            acc[1] += 0.5 * dt * (p_gdB2 + gdB2)
-            acc[2] += 0.5 * dt * ((p_du2 + p_dB2) * p_w + (du2 + dB2) * w)
-            prev[k] = cur
-            if sampled:
-                outs[k].append(TwinRunDelta(ref.t, float(np.sqrt(du2)), float(np.sqrt(dB2)),
-                                            float(np.sqrt(dv2(twin))), acc[0], acc[1], acc[2]))
-    return [(out, _twin_summary(out, params)) for out in outs]
-
-
-def _twin_summary(out: list[TwinRunDelta], params: PhysicalParams) -> dict:
-    pref = (1.0 + params.eps**4) / min(params.mu, params.nu) ** 3
-    c_fit = 0.0
-    sup_delta = 0.0
-    for r in out[1:]:
-        lhs = r.du**2 + r.dB**2 + params.mu * r.grad_du_int + params.nu * r.grad_dB_int
-        sup_delta = max(sup_delta, np.sqrt(r.du**2 + r.dB**2))
-        if r.gronwall_int > 0:
-            c_fit = max(c_fit, lhs / (pref * r.gronwall_int))
-    return {
-        "c_fit": c_fit,
-        "sup_delta": sup_delta,
-        "identical": sup_delta == 0.0,
-        "prefactor": pref,
-    }

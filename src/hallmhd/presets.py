@@ -4,10 +4,11 @@ results, and the empirical smallness threshold).
 
 PRESETS is the one table of them: each entry holds the statement, the
 kind of orchestration ("run": one runner.run; "twins": the weak-strong
-twin runs; "bisect": the threshold bisection's probe runs) and the base
-RunConfig, which `experiment` overrides with seed, n, dt and t_end.
-Every pass/fail criterion defers to the diagnostics monitors; presets
-add none of their own."""
+twin runs of runner.weakstrong_monitor; "bisect": the threshold
+bisection's probe runs) and the base RunConfig, which `experiment`
+overrides with seed, n, dt and t_end.  Every pass/fail criterion defers
+to runner and its diagnostics monitors; presets add none of their own,
+and step no session themselves."""
 
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .diagnostics import weakstrong_monitor
 from .grid import GridSpec
 from .operators import leray_project
 from .params import PhysicalParams, StepControl, required_dt
-from .runner import NumericsError, build_initial, run, write_json
+from .runner import NumericsError, build_initial, run, weakstrong_monitor, write_json
 from .sampling import single_mode_field
 
 __all__ = ["ExperimentPreset", "PRESETS", "experiment", "preset_run_config",
@@ -50,7 +50,7 @@ PRESETS = {
             "decay-3d", "long-time decay of the critical triple norm",
             "run", RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0, dt=2e-3,
                              t_end=10.0, sample_every=25, amplitude=1e-2,
-                             decay_fraction=1e-4, tol_energy_drift=5e-6)),
+                             decay_fraction=1e-4)),
         ExperimentPreset(
             "freq-split-3d", "frequency-splitting machinery",
             "run", RunConfig(dimension=3.0, formulation="extended", n=32, eps=1.0, dt=1e-3,
@@ -68,8 +68,7 @@ PRESETS = {
         ExperimentPreset(
             "small-B-2p5d", "2.5D global existence with only the magnetic field small",
             "run", RunConfig(dimension=2.5, n=64, eps=1.0, dt=1e-3, t_end=1.0, sample_every=1,
-                             amplitude=0.5, b_amplitude=0.02, band_hi=2.0,
-                             tol_energy_drift=1e-5)),
+                             amplitude=0.5, b_amplitude=0.02, band_hi=2.0)),
         # the probes' base: each probe sets n, seed, mu = nu, the amplitude
         # and its own steps
         ExperimentPreset(
@@ -92,7 +91,7 @@ def preset_run_config(preset_id: str, seed: int = 0) -> RunConfig:
 # monotonicity probe and threshold bisection --------------------------------
 
 def _monotone_at_amplitude(amplitude: float, n: int, seed: int, t_probe: float,
-                           mu: float = 1.0) -> tuple[bool, dict]:
+                           mu: float) -> tuple[bool, dict]:
     """True when the critical triple norm is nonincreasing (and the
     integrated inequality holds) along a short extended run; a run that
     fails numerically counts as failure."""
@@ -118,16 +117,14 @@ def _monotone_at_amplitude(amplitude: float, n: int, seed: int, t_probe: float,
     return summary["pass_monotonicity"], {"amplitude": amplitude, **summary["monotonicity"]}
 
 
-def bisect_monotonicity_threshold(n: int = 16, seed: int = 0, t_probe: float = 0.4,
-                                  iters: int = 5, lo: float = 0.05,
-                                  hi: float = 2.0, mu: float = 0.1) -> dict:
+def bisect_monotonicity_threshold(n: int, mu: float, seed: int = 0, t_probe: float = 0.4,
+                                  iters: int = 5, lo: float = 0.05, hi: float = 2.0) -> dict:
     """Empirical critical amplitude: largest H^{1/2} data size for which the
     triple-norm monotonicity monitor still passes, bisected to the requested
-    number of iterations.  The smallness condition scales with mu, so the
-    default probes run at mu = nu = 0.1 where the threshold sits at
-    affordable amplitudes; the ratio threshold/mu estimates the constant.
-    Probes default to n = 16: the failure is a large-scale spectral
-    transfer, and the estimate only sets the scale for certified runs."""
+    number of iterations, with probes at N = n and mu = nu = mu (the
+    "threshold-bisect" entry of PRESETS runs them at its N = 32 and
+    mu = 0.1).  The smallness condition scales with mu, so the ratio
+    threshold/mu estimates the constant."""
     ok_lo, _ = _monotone_at_amplitude(lo, n, seed, t_probe, mu=mu)
     if not ok_lo:
         raise RuntimeError(f"monotonicity fails already at amplitude {lo}")
@@ -196,7 +193,6 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
     cfg = replace(preset.config, seed=seed,
                   **{k: v for k, v in overrides.items() if v is not None}).validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if preset.kind == "run":
         result = run(cfg, out_dir=out / "run")
@@ -208,5 +204,7 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
         report["pass"] = bool(np.isfinite(report["threshold_hi"]))
 
     report = {"preset": preset_id, "statement": preset.statement, "seed": seed, **report}
+    # made only now, so a config the step guards reject leaves nothing behind
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)
     return report

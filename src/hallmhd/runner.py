@@ -1,25 +1,26 @@
-"""Run driver: advances one configured simulation, samples diagnostics,
-and writes timeseries.csv, snapshots and summary.json into the run
-directory.  Every output byte is determined by (config, seed).
+"""Run driver, the one module that steps sessions: run() advances one
+configured simulation, samples diagnostics, and writes timeseries.csv,
+snapshots and summary.json (every byte determined by (config, seed));
+weakstrong_monitor() steps the weak-strong twin runs in lockstep.  Both
+start their sessions with one t = 0 step guard (ConfigError) and raise
+NumericsError naming the step that fails.
 
 3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
 3D physical system on a 2D lattice); a per-dimension monitor supplies
 the dissipation integrands, the sample rows and the summary keys.  The
 integrands, one per step, are integrated once after the loop by
 diagnostics.cumulative_simpson (numpy only; the run path imports no
-SciPy module but scipy.fft).  Both
-monitors read every record norm from the session's compact band.  The
-t = 0 step guard reads its maxima from the session's stage-1 term,
-which step 1 reuses.  A 2.5D sample's full-lattice certificate runs on
-the stepper's lane-1 worker thread while the run steps on, when that
-worker is idle (two CPUs allowed, 2D N < 128), and inline otherwise;
-run() collects every certificate before the records.  The latest sample
-is kept as the session's (t, compact fields), scattered only to flush
-snap_last_good.hmhd; the initial state and each snapshot's are dropped
-once written, so past sample 0 the loop holds at most one full-lattice
-state (that of the sample or snapshot being taken).  Each monitor
-scatters its own: a 2.5D sample for its certificate, a 3D one only under
-compute_budgets."""
+SciPy module but scipy.fft).  Both monitors read every record norm from
+the session's compact band.  A 2.5D sample's full-lattice certificate
+runs on the stepper's lane-1 worker thread while the run steps on, when
+that worker is idle (two CPUs allowed, 2D N < 128), and inline
+otherwise; run() collects every certificate before the records.  The
+latest sample is kept as the session's (t, compact fields), scattered
+only to flush snap_last_good.hmhd; the initial state and each snapshot's
+are dropped once written, so past sample 0 the loop holds at most one
+full-lattice state (that of the sample or snapshot being taken).  Each
+monitor scatters its own: a 2.5D sample for its certificate, a 3D one
+only under compute_budgets."""
 
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ from .diagnostics import (
     monotonicity_monitor,
     write_records_csv,
 )
+from .fields import SpectralField
 from .grid import GridSpec
 # no run path calls hs_norm; the name stays importable from here because
 # the benchmark's tracer (bench/child.py) wraps runner.hs_norm
@@ -54,11 +56,13 @@ from .operators import band_filter, to_physical
 from .params import CFLError, PhysicalParams, StepControl, required_dt, step_count
 from .snapshots import write_snapshot
 
-__all__ = ["run", "RunResult", "NumericsError", "build_initial", "write_json"]
+__all__ = ["run", "RunResult", "NumericsError", "build_initial", "write_json",
+           "weakstrong_monitor", "TwinRunDelta"]
 
 
-# pinned pass tolerances (not configurable): the v-drift of extended 3D
-# runs and the combined-field-law residual of 2.5D runs
+# pinned pass tolerances (not configurable): the energy drift, the v-drift
+# of extended 3D runs and the combined-field-law residual of 2.5D runs
+TOL_ENERGY_DRIFT = 1e-6
 TOL_V_DRIFT = 1e-6
 TOL_E_RESIDUAL = 1e-5
 
@@ -112,6 +116,18 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _start(state: s3.SimState3D, params: PhysicalParams, control: StepControl) -> s3.StepSession:
+    """A session on `state`; ConfigError unless the step guards admit dt at
+    t = 0, from the maxima of the stage-1 term that step 1 reuses."""
+    session = s3.StepSession(state, params, control)
+    umax, bmax = session.rhs()[-2:]
+    bound = required_dt(state.grid, params, control, umax, bmax)
+    if control.dt > bound:
+        raise ConfigError(f"dt={control.dt:.3e} violates the step guards at t=0 "
+                          f"(require dt <= {bound:.3e})")
+    return session
+
+
 def run(cfg: RunConfig, out_dir=None) -> RunResult:
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -119,16 +135,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     params = PhysicalParams(cfg.mu, cfg.nu, cfg.eps)
     control = StepControl(dt=cfg.dt, t_end=cfg.t_end, hall_cfl=cfg.hall_cfl)
     state0 = build_initial(cfg, grid, params)
-    session = s3.StepSession(state0, params, control)
-
-    # the step guards must admit dt at t = 0 (config error otherwise); the
-    # maxima are those of the band fields the stepper advances, from the
-    # stage-1 term that step 1 reuses
-    umax, bmax = session.rhs()[-2:]
-    bound = required_dt(grid, params, control, umax, bmax)
-    if cfg.dt > bound:
-        raise ConfigError(f"dt={cfg.dt:.3e} violates the step guards at t=0 "
-                          f"(require dt <= {bound:.3e})")
+    session = _start(state0, params, control)
     out.mkdir(parents=True, exist_ok=True)
 
     monitor = (_Monitor3D if grid.dim == 3 else _Monitor25D)(cfg, params, session)
@@ -201,7 +208,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         "formulation": cfg.formulation,
         "energy_drift_max": float(drift.max()),
         "energy_drift_series": [float(x) for x in drift],
-        "pass_energy": bool(drift.max() <= cfg.tol_energy_drift),
+        "pass_energy": bool(drift.max() <= TOL_ENERGY_DRIFT),
         "snapshot_files": ["snap_initial.hmhd", "snap_final.hmhd"],
         "snapshot_times": snap_times,
         **monitor.summary(samples, cum, idx),
@@ -211,6 +218,114 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     write_records_csv(out / "timeseries.csv", records)
     write_json(out / "summary.json", summary)
     return RunResult(cfg, records, summary, out)
+
+
+# weak-strong twin runs -----------------------------------------------------
+
+@dataclass
+class TwinRunDelta:
+    """One sample of the difference between two lock-stepped runs."""
+
+    t: float
+    du: float
+    dB: float
+    dv: float
+    grad_du_int: float
+    grad_dB_int: float
+    gronwall_int: float  # int ||(du,dB)||^2 ||(u,B,J)||^4 d tau
+
+
+def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
+                       twins: list[tuple[SpectralField, SpectralField]],
+                       params: PhysicalParams, control: StepControl,
+                       sample_every: int = 10) -> list[tuple[list[TwinRunDelta], dict]]:
+    """Advance a reference physical-formulation run from (uA, BA) and one
+    twin run per (uB, BB) in `twins` in lockstep, and certify for each
+    twin the difference estimate
+
+        ||(du,dB)(t)||^2 + mu int ||grad du||^2 + nu int ||grad dB||^2
+          <= C (1 + eps^4) / min(mu,nu)^3 * int ||(du,dB)||^2 ||(u,B,J)||^4
+
+    with C fitted as the smallest constant making it hold at all samples.
+    (1 + eps^4) is the actual sum of the five Young-split prefactors, so
+    the eps = 0 limit stays meaningful.
+
+    The reference is stepped once per step and each twin after it, all on
+    the shared stepper workspace.  A twin with the reference's data is
+    still its own session, so a zero difference certifies that no state
+    leaks between sessions.  Returns one (deltas, summary) per twin, in
+    order.  Raises ValueError when control.t_end is not an integer
+    multiple of control.dt, ConfigError when the step guards reject dt
+    for any run at t = 0 (as run() does), and NumericsError naming the
+    step when a later step fails its guards or turns non-finite.
+    """
+    if not twins:
+        raise ValueError("weak-strong comparison needs at least one twin run")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    for uB, _ in twins:
+        if uA.grid is not uB.grid and uA.grid.spectral_shape != uB.grid.spectral_shape:
+            raise ValueError("twin runs must share the grid")
+    nsteps = step_count(control.t_end, control.dt)
+    ref = _start(s3.make_state(uA, BA, params), params, control)
+    sessions = [_start(s3.make_state(uB, BB_, params), params, control) for uB, BB_ in twins]
+    sp = ref.sp
+    dt = control.dt
+
+    def weight_now() -> float:
+        h1 = ref.hs2("u", 1.0) + ref.hs2("B", 1.0) + ref.hs2("curl_B", 1.0)
+        return h1 ** 2
+
+    def diff2(twin: s3.StepSession) -> tuple:
+        """Squared L2 and H1 norms of du and dB."""
+        du2, dB2 = (sp.mag2(r - f) for r, f in zip(ref.fields[:2], twin.fields[:2]))
+        return (sp.sum_hs2(du2, 0.0), sp.sum_hs2(dB2, 0.0),
+                sp.sum_hs2(du2, 1.0), sp.sum_hs2(dB2, 1.0))
+
+    def dv2(twin: s3.StepSession) -> float:
+        """Squared L2 norm of dv = du - eps curl dB (read at samples only)."""
+        du_, dB_ = (r - f for r, f in zip(ref.fields[:2], twin.fields[:2]))
+        return sp.sum_hs2(sp.mag2(du_ - params.eps * sp._curl(dB_)), 0.0)
+
+    w = weight_now()
+    prev = [diff2(twin) for twin in sessions]
+    outs = [[TwinRunDelta(ref.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2(twin)), 0.0, 0.0, 0.0)]
+            for (du2, dB2, _, _), twin in zip(prev, sessions)]
+    # per twin: int ||grad du||^2, int ||grad dB||^2, the Gronwall integral
+    ints = [[0.0, 0.0, 0.0] for _ in twins]
+    for i in range(1, nsteps + 1):
+        try:
+            ref.advance()
+            for twin in sessions:
+                twin.advance()
+        except (CFLError, FloatingPointError) as e:
+            raise NumericsError(f"{e} at step {i} (t={i * dt:.6g})") from e
+        p_w, w = w, weight_now()
+        sampled = i % sample_every == 0 or i == nsteps
+        for k, twin in enumerate(sessions):
+            du2, dB2, gdu2, gdB2 = cur = diff2(twin)
+            p_du2, p_dB2, p_gdu2, p_gdB2 = prev[k]
+            acc = ints[k]
+            acc[0] += 0.5 * dt * (p_gdu2 + gdu2)
+            acc[1] += 0.5 * dt * (p_gdB2 + gdB2)
+            acc[2] += 0.5 * dt * ((p_du2 + p_dB2) * p_w + (du2 + dB2) * w)
+            prev[k] = cur
+            if sampled:
+                outs[k].append(TwinRunDelta(ref.t, float(np.sqrt(du2)), float(np.sqrt(dB2)),
+                                            float(np.sqrt(dv2(twin))), acc[0], acc[1], acc[2]))
+
+    pref = (1.0 + params.eps**4) / min(params.mu, params.nu) ** 3
+    results = []
+    for out in outs:
+        c_fit = sup_delta = 0.0
+        for r in out[1:]:
+            lhs = r.du**2 + r.dB**2 + params.mu * r.grad_du_int + params.nu * r.grad_dB_int
+            sup_delta = max(sup_delta, np.sqrt(r.du**2 + r.dB**2))
+            if r.gronwall_int > 0:
+                c_fit = max(c_fit, lhs / (pref * r.gronwall_int))
+        results.append((out, {"c_fit": c_fit, "sup_delta": sup_delta,
+                              "identical": sup_delta == 0.0, "prefactor": pref}))
+    return results
 
 
 # record columns that are square roots of the sampled squared norms, as

@@ -70,6 +70,7 @@ its own).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -449,25 +450,21 @@ class _Stepper3D:
         return new
 
 
-_STEPPER_CACHE: dict[tuple, _Stepper3D] = {}
-
-
 def get_stepper(grid: GridSpec, params: PhysicalParams, dt: float, extended: bool) -> _Stepper3D:
     """The stepper of (grid, params, dt, formulation), built on first use
     for the CPU plan (two CPUs allowed or not) and the calling thread: its
     lane plan is fixed when it is built, and it serves one advancing agent
     at a time.  GridSpec.create shares one grid per lattice, so callers
     of one lattice share its stepper."""
-    two_cpus = len(os.sched_getaffinity(0)) >= 2
-    key = (id(grid), params.mu, params.nu, params.eps, dt, extended, two_cpus,
-           threading.get_ident())
-    st = _STEPPER_CACHE.get(key)
-    if st is None:
-        if len(_STEPPER_CACHE) > 8:
-            _STEPPER_CACHE.clear()
-        st = _Stepper3D(grid, params, dt, extended)
-        _STEPPER_CACHE[key] = st
-    return st
+    return _cached_stepper(grid, params, dt, extended, len(os.sched_getaffinity(0)) >= 2,
+                           threading.get_ident())
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_stepper(grid: GridSpec, params: PhysicalParams, dt: float, extended: bool,
+                    two_cpus: bool, thread: int) -> _Stepper3D:
+    """get_stepper's cache; the CPU plan and the thread are key only."""
+    return _Stepper3D(grid, params, dt, extended)
 
 
 def step(state: SimState3D, params: PhysicalParams, control: StepControl) -> SimState3D:

@@ -21,7 +21,7 @@ from hallmhd.checks import (
     operator_identity_suite,
 )
 from hallmhd.config import RunConfig
-from hallmhd.diagnostics import budget_residuals, budget_terms, weakstrong_monitor
+from hallmhd.diagnostics import budget_residuals, budget_terms
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import interpolation_check
@@ -29,7 +29,7 @@ from hallmhd.operators import band_filter, leray_project, spectral_pad
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd.presets import bisect_monotonicity_threshold
 from hallmhd.probes import inequality_probe, kato_ponce_probe
-from hallmhd.runner import run
+from hallmhd.runner import run, weakstrong_monitor
 from hallmhd.sampling import random_field, single_mode_field
 from hallmhd.snapshots import read_snapshot
 

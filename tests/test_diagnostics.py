@@ -1,8 +1,11 @@
 """Budgets, cancellation/adjointness, run monitors, twin-run comparator."""
 
+import re
+
 import numpy as np
 import pytest
 
+from hallmhd.config import ConfigError
 from hallmhd.diagnostics import (
     RECORD_COLUMNS,
     DiagnosticsRecord,
@@ -15,14 +18,14 @@ from hallmhd.diagnostics import (
     energy_drift_series,
     fit_budget_6100,
     monotonicity_monitor,
-    weakstrong_monitor,
     write_records_csv,
 )
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.operators import leray_project
-from hallmhd.params import PhysicalParams, StepControl
+from hallmhd.params import CFLError, PhysicalParams, StepControl, required_dt
 from hallmhd import solver3d as s3
+from hallmhd.runner import NumericsError, weakstrong_monitor
 from hallmhd.sampling import random_field, single_mode_field
 
 from oracle3d import read_records_csv
@@ -213,9 +216,32 @@ class TestWeakStrong:
         u0, B0 = s3.make_initial(g3, "random_band", 0.05, seed=27)
         c = u0.c.copy()
         c[0, 1, 1, 1] = np.nan
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(NumericsError, match="at step 1 "):
             weakstrong_monitor(u0, B0, [(u0.with_coeffs(c), B0)], P1,
                                StepControl(dt=1e-3, t_end=0.02), sample_every=5)
+
+    def test_guard_broken_mid_run_names_the_step(self):
+        """dt at 0.98 of the t = 0 step guard admits the start, and the
+        growing fields break the guard some steps later: NumericsError
+        naming that step, as runner.run raises."""
+        grid, params = GridSpec.create(3, 16), PhysicalParams(0.02, 0.02, 1.0)
+        u0, B0 = s3.make_initial(grid, "random_band", 1.0, seed=4)
+        probe = StepControl(dt=1.0, t_end=1.0)
+        dt = 0.98 * required_dt(grid, params, probe, float(np.abs(u0.to_physical()).max()),
+                                float(np.abs(B0.to_physical()).max()))
+        ctrl = StepControl(dt=dt, t_end=200 * dt)
+        with pytest.raises(NumericsError) as info:
+            weakstrong_monitor(u0, B0, [(u0, B0)], params, ctrl, sample_every=5)
+        assert isinstance(info.value.__cause__, CFLError)
+        step = re.search(r"at step (\d+) \(t=", str(info.value))
+        assert step and 1 < int(step[1]) < 200
+
+    def test_guard_rejects_dt_at_t0(self, g3):
+        """A dt the step guards reject at t = 0 is a configuration error,
+        raised before any step."""
+        u0, B0 = s3.make_initial(g3, "random_band", 1.0, seed=4)
+        with pytest.raises(ConfigError, match="violates the step guards at t=0"):
+            weakstrong_monitor(u0, B0, [(u0, B0)], P1, StepControl(dt=0.05, t_end=0.2))
 
     def test_grid_mismatch_rejected(self, g3, g3_32):
         uA, BA = s3.make_initial(g3, "random_band", 0.05, seed=26)

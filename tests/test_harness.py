@@ -84,6 +84,8 @@ class TestConfig:
         "tol_v_drift = -1e-6",
         "snapshot_every = -0.005",
         "seed = -1",
+        "decay_fraction = 0.0",            # pass_decay needs 0 < fraction <= 1
+        "decay_fraction = 1e9",
         # settings a run would silently ignore
         "compute_budgets = true",          # with the physical formulation
         "dimension = 2.5\nfilter_rho = 2.0",
@@ -663,6 +665,16 @@ class TestPresets:
                             dt=5e-4, t_end=0.0105)
         assert [s["t"] for s in report["series"]] == pytest.approx([0.0, 0.01, 0.0105])
 
+    def test_weak_strong_dt_past_the_guard_exit_2_before_mkdir(self, tmp_path, capsys):
+        """The twin runs' t = 0 step guard rejects dt as run's does: exit
+        2, no traceback, and no output directory."""
+        out = tmp_path / "ws"
+        rc = cli.main(["experiment", "weak-strong-3d", "--n", "16", "--dt", "0.05",
+                       "--t-end", "0.2", "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weak_strong_t_end_off_the_dt_grid_exit_2(self, tmp_path, capsys):
         rc = cli.main(["experiment", "weak-strong-3d", "--n", "16", "--t-end", "0.0105",
                        "--out", str(tmp_path / "ws")])
@@ -742,7 +754,7 @@ class TestPresets:
         assert not out.exists()
 
     def test_threshold_bisect_smoke(self):
-        out = bisect_monotonicity_threshold(n=16, seed=1, t_probe=0.08, iters=2,
+        out = bisect_monotonicity_threshold(n=16, mu=0.1, seed=1, t_probe=0.08, iters=2,
                                             lo=0.05, hi=8.0)
         assert out["threshold_lo"] < out["threshold_hi"] < np.inf
 
@@ -982,10 +994,10 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfgfile)]) == 2
 
     def test_monitor_failure_exit_1(self, tmp_path):
-        # an un-meetable drift tolerance turns a clean run into a failure
+        # an un-meetable decay fraction turns a clean run into a failure
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("dimension = 3\nn = 16\ndt = 1e-3\nt_end = 0.01\n"
-                           "amplitude = 0.4\nseed = 2\ntol_energy_drift = 1e-18\n"
+                           "amplitude = 0.4\nseed = 2\ndecay_fraction = 1e-12\n"
                            f"out_dir = {tmp_path}/o1\n")
         assert cli.main(["run", "--config", str(cfgfile)]) == 1
 

@@ -505,6 +505,17 @@ class TestSharedStepper:
         one = s3.get_stepper(g, P1, 1e-3, False)
         assert one is not two and len(one.lanes) == 1
 
+    def test_ninth_key_evicts_only_the_least_recently_used(self):
+        g = GridSpec.create(3, 16)
+        dts = [1e-3 * (k + 1) for k in range(9)]
+        first = [s3.get_stepper(g, P1, dt, False) for dt in dts[:8]]
+        assert s3.get_stepper(g, P1, dts[0], False) is first[0]  # now the most recent
+        ninth = s3.get_stepper(g, P1, dts[8], False)
+        kept = [0] + list(range(2, 8))
+        assert all(s3.get_stepper(g, P1, dts[k], False) is first[k] for k in kept)
+        assert s3.get_stepper(g, P1, dts[8], False) is ninth
+        assert s3.get_stepper(g, P1, dts[1], False) is not first[1]  # evicted, rebuilt
+
 
 class TestBatching:
     """Below _LANE_MIN_POINTS points per component each phase is one job

@@ -1,4 +1,5 @@
-"""Every public name of the library has a caller outside the tests.
+"""Every public name of the library has a caller outside the tests, and
+only the run driver steps sessions.
 
 A public top-level function or class of src/hallmhd, or a public method
 of a public class, counts as used when some code in src/hallmhd, bench/
@@ -87,3 +88,19 @@ def test_a_recursive_call_is_not_a_use():
     assert _used("f", f_node, _uses([tree, ast.parse("f(1)")]))
     assert _used("f", f_node, _uses([tree, ast.parse("m.f")]))
     assert not _used("f", f_node, _uses([tree, ast.parse('"f"  # f')]))
+
+
+def test_only_the_run_driver_steps_sessions():
+    """Outside runner.py no library code names `.advance`, except
+    solver3d.step (one step) and StepSession.advance, which hands its
+    step to the stepper's: runner is the one run driver."""
+    allowed = {"solver3d": {"step", "StepSession.advance"}}
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.stem == "runner":
+            continue
+        for name, enclosing in _uses([_parse(path)]):
+            where = ".".join(node.name for node in enclosing)
+            if name == "advance" and where not in allowed.get(path.stem, ()):
+                found.append(f"{path.stem}.{where or '<module>'}")
+    assert not found, f"code outside runner that steps sessions: {found}"
