@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import GridSpec
 
@@ -28,8 +27,10 @@ __all__ = [
 ]
 
 
-# transforms (scipy.fft.rfftn/irfftn are looked up at call time, so they
-# can be wrapped from outside, e.g. to count transforms) ----------------
+# transforms: scipy.fft is imported on the first call, so a 3D run that
+# makes no full-lattice transform loads no SciPy (the stepper uses
+# numpy.fft); rfftn/irfftn are looked up at call time, so they can be
+# wrapped from outside, e.g. to count transforms ------------------------
 
 def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Forward DFT, u_hat(k) = N^-d sum_j u(x_j) e^{-ik.x_j}, over the
@@ -37,6 +38,8 @@ def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.shape[-grid.dim:] != grid.physical_shape:
         raise ValueError(f"trailing shape {values.shape[-grid.dim:]} != {grid.physical_shape}")
+    import scipy.fft as sfft
+
     return sfft.rfftn(values, axes=grid.fft_axes, norm="forward")
 
 
@@ -45,6 +48,8 @@ def to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-grid.dim:] != grid.spectral_shape:
         raise ValueError(f"trailing shape {coeffs.shape[-grid.dim:]} != {grid.spectral_shape}")
+    import scipy.fft as sfft
+
     return sfft.irfftn(coeffs, s=grid.physical_shape, axes=grid.fft_axes, norm="forward")
 
 

@@ -193,6 +193,10 @@ def experiment(preset_id: str, out_dir, seed: int = 0, n: int | None = None,
     cfg = replace(preset.config, seed=seed,
                   **{k: v for k, v in overrides.items() if v is not None}).validate()
     out = Path(out_dir)
+    # an output path that a file blocks fails before any run (it is made last)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise NotADirectoryError(f"output path {out}: {blocker} is not a directory")
 
     if preset.kind == "run":
         result = run(cfg, out_dir=out / "run")

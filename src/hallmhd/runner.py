@@ -9,18 +9,20 @@ NumericsError naming the step that fails.
 3D physical system on a 2D lattice); a per-dimension monitor supplies
 the dissipation integrands, the sample rows and the summary keys.  The
 integrands, one per step, are integrated once after the loop by
-diagnostics.cumulative_simpson (numpy only; the run path imports no
-SciPy module but scipy.fft).  Both monitors read every record norm from
-the session's compact band.  A 2.5D sample's full-lattice certificate
-runs on the stepper's lane-1 worker thread while the run steps on, when
-that worker is idle (two CPUs allowed, 2D N < 128), and inline
-otherwise; run() collects every certificate before the records.  The
-latest sample is kept as the session's (t, compact fields), scattered
-only to flush snap_last_good.hmhd; the initial state and each snapshot's
-are dropped once written, so past sample 0 the loop holds at most one
-full-lattice state (that of the sample or snapshot being taken).  Each
-monitor scatters its own: a 2.5D sample for its certificate, a 3D one
-only under compute_budgets."""
+diagnostics.cumulative_simpson (numpy only: the loop imports no SciPy
+module; the full-lattice transforms of a 2.5D certificate or a 3D
+budget import scipy.fft).
+Both monitors read every record norm from the session's compact band.
+A 2.5D sample's full-lattice certificate runs on the stepper's lane-1
+worker thread while the run steps on, when that worker is idle (two
+CPUs allowed, 2D N < 128), and inline otherwise; run() collects every
+certificate before the records.  The latest sample is kept as the
+session's (t, compact fields), scattered only to flush
+snap_last_good.hmhd; the initial state and each snapshot's are dropped
+once written, so past sample 0 the loop holds at most one full-lattice
+state (that of the sample or snapshot being taken).  Each monitor
+scatters its own: a 2.5D sample for its certificate, a 3D one only
+under compute_budgets."""
 
 from __future__ import annotations
 
@@ -277,20 +279,21 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
         return h1 ** 2
 
     def diff2(twin: s3.StepSession) -> tuple:
-        """Squared L2 and H1 norms of du and dB."""
-        du2, dB2 = (sp.mag2(r - f) for r, f in zip(ref.fields[:2], twin.fields[:2]))
-        return (sp.sum_hs2(du2, 0.0), sp.sum_hs2(dB2, 0.0),
-                sp.sum_hs2(du2, 1.0), sp.sum_hs2(dB2, 1.0))
+        """(du, dB) and their squared L2 and H1 norms."""
+        d = [r - f for r, f in zip(ref.fields[:2], twin.fields[:2])]
+        du2, dB2 = map(sp.mag2, d)
+        return d, (sp.sum_hs2(du2, 0.0), sp.sum_hs2(dB2, 0.0),
+                   sp.sum_hs2(du2, 1.0), sp.sum_hs2(dB2, 1.0))
 
-    def dv2(twin: s3.StepSession) -> float:
+    def dv2(du_: np.ndarray, dB_: np.ndarray) -> float:
         """Squared L2 norm of dv = du - eps curl dB (read at samples only)."""
-        du_, dB_ = (r - f for r, f in zip(ref.fields[:2], twin.fields[:2]))
         return sp.sum_hs2(sp.mag2(du_ - params.eps * sp._curl(dB_)), 0.0)
 
     w = weight_now()
-    prev = [diff2(twin) for twin in sessions]
-    outs = [[TwinRunDelta(ref.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2(twin)), 0.0, 0.0, 0.0)]
-            for (du2, dB2, _, _), twin in zip(prev, sessions)]
+    first = [diff2(twin) for twin in sessions]
+    prev = [norms for _, norms in first]
+    outs = [[TwinRunDelta(ref.t, np.sqrt(du2), np.sqrt(dB2), np.sqrt(dv2(*d)), 0.0, 0.0, 0.0)]
+            for d, (du2, dB2, _, _) in first]
     # per twin: int ||grad du||^2, int ||grad dB||^2, the Gronwall integral
     ints = [[0.0, 0.0, 0.0] for _ in twins]
     for i in range(1, nsteps + 1):
@@ -303,7 +306,8 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
         p_w, w = w, weight_now()
         sampled = i % sample_every == 0 or i == nsteps
         for k, twin in enumerate(sessions):
-            du2, dB2, gdu2, gdB2 = cur = diff2(twin)
+            d, cur = diff2(twin)
+            du2, dB2, gdu2, gdB2 = cur
             p_du2, p_dB2, p_gdu2, p_gdB2 = prev[k]
             acc = ints[k]
             acc[0] += 0.5 * dt * (p_gdu2 + gdu2)
@@ -312,7 +316,7 @@ def weakstrong_monitor(uA: SpectralField, BA: SpectralField,
             prev[k] = cur
             if sampled:
                 outs[k].append(TwinRunDelta(ref.t, float(np.sqrt(du2)), float(np.sqrt(dB2)),
-                                            float(np.sqrt(dv2(twin))), acc[0], acc[1], acc[2]))
+                                            float(np.sqrt(dv2(*d))), acc[0], acc[1], acc[2]))
 
     pref = (1.0 + params.eps**4) / min(params.mu, params.nu) ** 3
     results = []

@@ -37,10 +37,12 @@ Per RHS evaluation the stepper transforms:
 * extended: u, B, v, E back (12); T, v x B and v x E forward (12): 24
   in all.
 
-Its transforms are pruned to the band: one 1D pass per axis, each
-skipping the lines that are zero (inverse) or dropped (forward), in
-the order scipy's irfftn/rfftn use, so that at power-of-two n they are
-bit for bit the full transforms.  Inverse: axis 0, axis 1, then the
+Its transforms are pruned to the band: one 1D numpy.fft pass per axis,
+in place (out=), each skipping the lines that are zero (inverse) or
+dropped (forward).  The passes go in the order scipy.fft's irfftn/rfftn
+use, and numpy.fft transforms a line with the same pocketfft arithmetic,
+so that at power-of-two n they are bit for bit the full transforms of
+fields.to_physical/to_spectral.  Inverse: axis 0, axis 1, then the
 half-spectrum axis; forward: the half-spectrum axis, axis 0, axis 1
 (2D grids have no axis 1).
 
@@ -58,11 +60,11 @@ is a job of its own, spread over one or two lanes.  A lane is a thread's
 scratch: a (g, *spectral_shape) workspace, a (g, *physical_shape)
 product buffer and one temporary.  With two, the calling thread runs
 the even jobs on lane 0 and one worker thread the odd jobs on lane 1
-(pocketfft and numpy release the GIL), and each phase ends when both
-lanes are done.  A job reads only inputs that no job writes and writes
-only its lane's scratch and its own output (physical arrays, or rows of
-F), and it does the same arithmetic on the same operands on either
-lane, so the result is bit for bit that of one lane.  Two lanes are
+(numpy.fft and numpy's arithmetic release the GIL), and each phase ends
+when both lanes are done.  A job reads only inputs that no job writes
+and writes only its lane's scratch and its own output (physical arrays,
+or rows of F), and it does the same arithmetic on the same operands on
+either lane, so the result is bit for bit that of one lane.  Two lanes are
 taken when the process may run on two CPUs and the components are big;
 the worker is made on first use, once per process (a forked child makes
 its own).
@@ -78,7 +80,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .fields import SpectralField
 from .grid import GridSpec
@@ -146,12 +147,15 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
 # Components with fewer points (2D n < 128, 3D n < 26) go on one lane, all
 # in one stack per phase: there a call costs more than its lines, and a
 # worker's handoff about what the split saves.  Median ms per physical
-# nonlinear evaluation on 2 vCPUs, one stack of all components (one lane)
-# / one component per job on one lane / on two lanes:
-#   2D n = 64   0.38 / 0.43 / 0.58     3D n = 16   0.34 / 0.60 / 0.78
-#   2D n = 128  1.22 / 1.00 / 0.78     3D n = 24   0.91 / 1.15 / 1.02
-#   3D n = 28   1.50 / 1.74 / 1.31     3D n = 32   1.85 / 2.08 / 1.43
-#   3D n = 64   22.4 / 16.8 / 10.9
+# nonlinear evaluation on 2 vCPUs (numpy.fft), one stack of all components
+# (one lane) / one component per job on one lane / on two lanes:
+#   2D n = 64   0.34 / 0.36 / 0.44     3D n = 16   0.40 / 0.61 / 0.63
+#   2D n = 128  1.09 / 0.85 / 0.64     3D n = 24   1.06 / 1.25 / 0.93
+#   3D n = 28   1.56 / 1.76 / 1.24     3D n = 32   2.17 / 2.30 / 1.51
+#   3D n = 64   24.1 / 18.9 / 12.4
+# Two lanes also win at 3D n = 22 and 24, but a bound low enough to take
+# them would put 2D n >= 104 on two lanes as well, where the one-lane
+# plan leaves the worker free for the 2.5D certificates (runner).
 _LANE_MIN_POINTS = 16384
 
 _pool: ThreadPoolExecutor | None = None
@@ -175,14 +179,6 @@ def _forget_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _c2c_in_place(fn, view: np.ndarray, axis: int) -> None:
-    """1D complex transform of `view` along `axis`, written back into it
-    (overwrite_x lets scipy.fft work in place; it does not promise to)."""
-    out = fn(view, axis=axis, norm="forward", overwrite_x=True)
-    if not np.may_share_memory(out, view):
-        view[...] = out
 
 
 class _Lane:
@@ -317,8 +313,8 @@ class _Stepper3D:
             w[lat] = blk[pos]
         for axis, lines in enumerate(lane.inv_lines):
             for view in lines:
-                _c2c_in_place(sfft.ifft, view, axis + 1)
-        return sfft.irfftn(w, s=(self.grid.n,), axes=(-1,), norm="forward")
+                np.fft.ifft(view, axis=axis + 1, norm="forward", out=view)
+        return np.fft.irfft(w, n=self.grid.n, axis=-1, norm="forward")
 
     def _forward(self, lane: _Lane, row0: int, quads: list[tuple]) -> None:
         """Rows row0 .. row0 + g - 1 of F: the band coefficients of the g
@@ -328,10 +324,11 @@ class _Stepper3D:
             np.multiply(p, q, out=b)
             np.multiply(r, s, out=tmp)
             b -= tmp
-        c = sfft.rfftn(buf, axes=(-1,), norm="forward")
+        c = np.fft.rfft(buf, axis=-1, norm="forward")
         for axis, lines in enumerate(self.fwd_lines):
             for idx in lines:
-                _c2c_in_place(sfft.fft, c[idx], axis + 1)
+                view = c[idx]
+                np.fft.fft(view, axis=axis + 1, norm="forward", out=view)
         blk = self.F[row0:row0 + self.stack].reshape((self.stack,) + self.block)
         for lat, pos in self.slabs:
             blk[pos] = c[lat]

@@ -693,6 +693,26 @@ class TestPresets:
         rc = cli.main(["experiment", "threshold-bisect", flag, "1e-3", "--out", str(tmp_path / "tb")])
         assert rc == 2
 
+    @pytest.mark.parametrize("pid", ["weak-strong-3d", "threshold-bisect", "fujita-kato-3d"])
+    @pytest.mark.parametrize("blocked", ["file", "file/sub/deeper"])
+    def test_output_blocked_by_a_file_exit_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                            pid, blocked):
+        """An --out that a file blocks fails before the twin runs, the
+        bisection or the preset's run start, and creates nothing."""
+        import hallmhd.presets as presets_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("reached a run")
+
+        for name in ("_experiment_weak_strong", "bisect_monotonicity_threshold", "run"):
+            monkeypatch.setattr(presets_mod, name, never)
+        (tmp_path / "file").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["experiment", pid, "--n", "16", "--out", str(tmp_path / blocked)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "is not a directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("argv", [
         ["weak-strong-3d", "--seed", "-1"],
         ["weak-strong-3d", "--n", "7"],
@@ -760,22 +780,50 @@ class TestPresets:
 
 
 class TestImportSet:
-    def test_library_imports_no_scipy_beyond_fft(self):
-        """The run path needs numpy and scipy.fft only: none of the heavier
-        scipy subpackages may load with the library (checked in a fresh
-        interpreter, since the tests import scipy.integrate themselves)."""
+    """SciPy stays off the 3D path: the stepper transforms with numpy.fft,
+    and only fields.to_spectral/to_physical import scipy.fft, on their
+    first call.  Each check runs in a fresh interpreter, since the tests
+    import SciPy themselves."""
+
+    @staticmethod
+    def scipy_loaded(code: str, *argv: str) -> list[str]:
+        """The scipy modules loaded once `code` has run with `argv`."""
         import hallmhd
 
-        code = ("import sys, hallmhd\n"
-                "from hallmhd import checks, cli, presets, probes, runner, solver3d, solver25d\n"
-                "print(' '.join(sorted(sys.modules)))")
+        code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
         env = dict(os.environ)
         src = str(Path(hallmhd.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        heavy = {"scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"}
-        assert not heavy.intersection(out)
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()[-1]
+        return [m for m in out.split() if m == "scipy" or m.startswith("scipy.")]
+
+    def test_library_imports_no_scipy(self):
+        assert self.scipy_loaded(
+            "import hallmhd\n"
+            "from hallmhd import checks, cli, presets, probes, runner, solver3d, solver25d") == []
+
+    def test_3d_runs_load_no_scipy(self, tmp_path):
+        """A 3D extended run with periodic snapshots and the weak-strong
+        twin runs."""
+        code = ("import sys\nfrom pathlib import Path\n"
+                "from hallmhd import RunConfig, run\nfrom hallmhd.presets import experiment\n"
+                "out = Path(sys.argv[1])\n"
+                "run(RunConfig(dimension=3.0, formulation='extended', n=16, amplitude=0.1,\n"
+                "              dt=1e-3, t_end=0.004, sample_every=2, snapshot_every=0.002,\n"
+                "              seed=1), out_dir=out / 'run')\n"
+                "experiment('weak-strong-3d', out / 'twins', n=16, t_end=0.02)")
+        assert self.scipy_loaded(code, str(tmp_path)) == []
+        assert (tmp_path / "run" / "snap_t0.002000.hmhd").exists()
+        assert (tmp_path / "twins" / "report.json").exists()
+
+    def test_2p5d_run_loads_scipy_fft(self, tmp_path):
+        """The 2.5D certificate's full-lattice transforms import scipy.fft."""
+        code = ("import sys\nfrom hallmhd import RunConfig, run\n"
+                "run(RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.004, sample_every=2,\n"
+                "              seed=1), out_dir=sys.argv[1])")
+        assert "scipy.fft" in self.scipy_loaded(code, str(tmp_path / "run"))
+        assert (tmp_path / "run" / "summary.json").exists()
 
 
 class TestCli:

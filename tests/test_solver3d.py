@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
@@ -338,21 +337,21 @@ class TestBandTransforms:
                 assert rel_err(got, want) <= 1e-15
                 assert rel_err(sp.F[:stack], want_c) <= 1e-15
 
-    @pytest.mark.parametrize("dim, extended, budget", [  # {n: (rfftn, irfftn) calls}
+    @pytest.mark.parametrize("dim, extended, budget", [  # {n: (rfft, irfft) calls}
         (3, False, {16: (1, 1), 32: (9, 9)}),
         (2, False, {16: (1, 1), 64: (1, 1)}),
         (3, True, {16: (1, 1), 32: (12, 12)}),
     ])
     def test_transform_budget(self, monkeypatch, dim, extended, budget):
-        """Forward and inverse scipy.fft calls per nonlinear evaluation:
-        one single-axis transform of every component at once on one lane
-        (2D, 3D N = 16), or one per component split over two lanes (3D
-        N = 32)."""
+        """Forward and inverse numpy.fft real transforms per nonlinear
+        evaluation: one single-axis transform of every component at once on
+        one lane (2D, 3D N = 16), or one per component split over two lanes
+        (3D N = 32)."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        calls = {"rfftn": [], "irfftn": []}  # list.append: safe from both lanes
+        calls = {"rfft": [], "irfft": []}  # list.append: safe from both lanes
 
         def counting(name):
-            fn = getattr(scipy.fft, name)
+            fn = getattr(np.fft, name)
 
             def wrapped(*args, **kwargs):
                 calls[name].append(None)
@@ -360,7 +359,7 @@ class TestBandTransforms:
             return wrapped
 
         for name in calls:
-            monkeypatch.setattr(scipy.fft, name, counting(name))
+            monkeypatch.setattr(np.fft, name, counting(name))
         for n, counts in budget.items():
             sp = s3._Stepper3D(GridSpec.create(dim, n), P1, 1e-3, extended)
             assert len(sp.lanes) == (2 if n == 32 else 1)
@@ -370,7 +369,7 @@ class TestBandTransforms:
             for c in calls.values():
                 c.clear()
             sp.nonlinear(*fields)
-            assert (len(calls["rfftn"]), len(calls["irfftn"])) == counts, n
+            assert (len(calls["rfft"]), len(calls["irfft"])) == counts, n
 
 
 class TestLanes:
@@ -600,7 +599,7 @@ class TestBatching:
         sp = self.stepper(monkeypatch, 2, g, extended=extended)
         assert sp.stack > 1
         fields = self.fields(sp, amplitude=0.05)
-        real, calls = getattr(scipy.fft, fn), []
+        real, calls = getattr(np.fft, fn), []
 
         def failing(*args, **kwargs):
             calls.append(None)
@@ -608,10 +607,10 @@ class TestBatching:
                 raise RuntimeError(f"{fn} call {nth}")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, fn, failing)
+        monkeypatch.setattr(np.fft, fn, failing)
         with pytest.raises(RuntimeError, match=f"{fn} call {nth}"):
             sp.nonlinear(*fields)
-        monkeypatch.setattr(scipy.fft, fn, real)
+        monkeypatch.setattr(np.fft, fn, real)
         self.assert_same(sp.nonlinear(*fields), self.stepper(monkeypatch, 2, g, extended=extended)
                          .nonlinear(*fields))
 

@@ -1,5 +1,5 @@
-"""Every public name of the library has a caller outside the tests, and
-only the run driver steps sessions.
+"""Every public name of the library has a caller outside the tests, only
+the run driver steps sessions, and no module imports SciPy on import.
 
 A public top-level function or class of src/hallmhd, or a public method
 of a public class, counts as used when some code in src/hallmhd, bench/
@@ -104,3 +104,35 @@ def test_only_the_run_driver_steps_sessions():
             if name == "advance" and where not in allowed.get(path.stem, ()):
                 found.append(f"{path.stem}.{where or '<module>'}")
     assert not found, f"code outside runner that steps sessions: {found}"
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(imported module, dotted enclosing definitions) of every absolute
+    import in a module tree; the second is '' at module level."""
+    out = []
+
+    def walk(node: ast.AST, where: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if isinstance(node, ast.Import):
+            out.extend((alias.name, ".".join(where)) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.module, ".".join(where)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(tree, ())
+    return out
+
+
+def test_scipy_is_imported_only_by_the_full_lattice_transforms():
+    """No library module imports scipy at module level, so the 3D run path
+    (the stepper transforms with numpy.fft) loads no SciPy module.  Only
+    fields.to_spectral and to_physical import scipy.fft, inside the
+    function, on their first call."""
+    allowed = {("fields", "to_spectral"), ("fields", "to_physical")}
+    found = [f"{path.stem}.{where or '<module>'} imports {module}"
+             for path in sorted(LIBRARY.glob("*.py"))
+             for module, where in _imports(_parse(path))
+             if module.split(".")[0] == "scipy" and (path.stem, where) not in allowed]
+    assert not found, f"scipy imports off the full-lattice transforms: {found}"
