@@ -13,16 +13,17 @@ diagnostics.cumulative_simpson (numpy only: the loop imports no SciPy
 module; the full-lattice transforms of a 2.5D certificate or a 3D
 budget import scipy.fft).
 Both monitors read every record norm from the session's compact band.
-A 2.5D sample's full-lattice certificate runs on the stepper's lane-1
-worker thread while the run steps on, when that worker is idle (two
-CPUs allowed, 2D N < 128), and inline otherwise; run() collects every
-certificate before the records.  The latest sample is kept as the
-session's (t, compact fields), scattered only to flush
+A 2.5D sample's full-lattice certificate runs in a forked worker
+process while the run steps on, when the stepper leaves a second CPU
+idle (two CPUs allowed, 2D N < 128) and the platform can fork, and
+inline otherwise; run() collects every certificate before the records
+and stops the worker before it returns or raises.  The latest sample is
+kept as the session's (t, compact fields), scattered only to flush
 snap_last_good.hmhd; the initial state and each snapshot's are dropped
 once written, so past sample 0 the loop holds at most one full-lattice
 state (that of the sample or snapshot being taken).  Each monitor
-scatters its own: a 2.5D sample for its certificate, a 3D one only
-under compute_budgets."""
+scatters its own: a 2.5D sample once, in its certificate job (so in the
+worker when there is one), a 3D one only under compute_budgets."""
 
 from __future__ import annotations
 
@@ -157,11 +158,11 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         samples.append(monitor.sample(istep, prev_t, before))
         last_good = (session.t, session.fields)
 
-    integrands = [monitor.dissipation()]
     snap_times = []
     next_snap = cfg.snapshot_every if cfg.snapshot_every > 0 else np.inf
     i = 0
     try:
+        integrands = [monitor.dissipation()]
         sample(0)
         snapshot("snap_initial.hmhd", state0)
         state0 = None  # from here the session holds the run's only state
@@ -185,7 +186,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         raise NumericsError(f"{e} at step {i} (t={i * cfg.dt:.6g}); last good "
                             f"snapshot (t={flush.t:.6g}) flushed") from e
     finally:
-        monitor.collect(fill=False)  # no certificate job outlives the call
+        monitor.close()  # no certificate job or worker outlives the call
     snapshot("snap_final.hmhd", session.state())
 
     # cumulative dissipation integrals int_0^t ||grad .||^2, one per column
@@ -376,8 +377,10 @@ class _Monitor3D:
         s = self.session
         return s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v", 1.0) if self.extended else 0.0
 
-    def collect(self, fill: bool = True) -> None:
+    def collect(self) -> None:
         """A 3D sample leaves no work pending."""
+
+    close = collect
 
     def sample(self, istep: int, prev_t: float | None, before: tuple | None) -> dict:
         session, params, extended = self.session, self.params, self.extended
@@ -449,10 +452,87 @@ class _Monitor3D:
 
 # 2.5D -----------------------------------------------------------------------
 
-# At most this many 2.5D certificate jobs pend, about 0.3 MB each at N = 64.
-# Unbounded, the worker lagged 1-10 jobs over 151 samples and 17-85 over
-# 1,001 (2 vCPUs): there it is the slower side, and a bound of 8 cost no time.
+# At most this many 2.5D certificate jobs are outstanding (sent to the
+# worker, result not yet read); a job's arrays are 0.2-0.3 MB at N = 64.
 _CERT_QUEUE = 8
+
+
+class _CertWorker:
+    """A forked child process that runs `job` on the arguments of each
+    submit(), in order, and sends back its result or its exception;
+    collect() puts the results in the jobs' rows, oldest first, and
+    raises a job's exception there, caused by the child's traceback.
+    The child keeps its own copy of whatever `job` changes between
+    calls.  A child that dies fails the next submit() or collect() with
+    RuntimeError."""
+
+    def __init__(self, ctx, job):
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(job, child_end, self.conn), daemon=True)
+        self.proc.start()
+        child_end.close()  # so that the child's exit reads as EOF here
+        self.pending: list[dict] = []  # the row of each job not collected
+
+    def submit(self, row: dict, *args) -> None:
+        self.collect(keep=_CERT_QUEUE - 1)
+        try:
+            self.conn.send(args)
+        except OSError as e:
+            raise self._lost() from e
+        self.pending.append(row)
+
+    def collect(self, keep: int = 0) -> None:
+        """Wait for results, oldest first, until `keep` jobs are left."""
+        while len(self.pending) > keep:
+            try:
+                out = self.conn.recv()
+            except (EOFError, OSError) as e:
+                raise self._lost() from e
+            row = self.pending.pop(0)
+            if isinstance(out, tuple):  # the job's exception and the child's traceback
+                raise out[0] from RuntimeError(f"in the certificate worker:\n{out[1]}")
+            row.update(out)
+
+    def _lost(self) -> RuntimeError:
+        self.proc.join(1.0)
+        return RuntimeError(f"the certificate worker exited (exit code {self.proc.exitcode})")
+
+    def close(self) -> None:
+        """Kill and reap the child; a job not collected by now is given up."""
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
+def _serve(job, conn, parent_end) -> None:
+    """The child's loop: job(*args) for each args received on `conn`, its
+    result or exception sent back, until the parent's end closes.  A
+    thread takes each job off the pipe as it arrives: a job's arrays fill
+    the pipe's buffer, and the parent would otherwise wait in submit()
+    for the job before it to finish."""
+    import queue
+    import signal
+    import threading
+    import traceback
+
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    jobs = queue.SimpleQueue()
+
+    def receive() -> None:
+        try:
+            while True:
+                jobs.put(conn.recv())
+        except (EOFError, OSError):
+            jobs.put(None)
+
+    threading.Thread(target=receive, daemon=True).start()
+    while (args := jobs.get()) is not None:
+        try:
+            out = job(*args)
+        except Exception as e:  # raised in the parent by collect()
+            out = (e, traceback.format_exc())
+        conn.send(out)
 
 
 class _Monitor25D:
@@ -464,13 +544,15 @@ class _Monitor25D:
 
     The calling thread forms a sample's band norms and dB/dt (the
     stage-1 term, which the next step reuses); only it reads the
-    session's fields.  The certificate job (_certify: 7 forward and 3
-    inverse full-lattice transforms, the previous sample's E-law terms
-    carried over) runs inline, or in order on the lane-1 worker when
-    sp.worker_idle, at most _CERT_QUEUE pending until collect().  A
-    failing job then raises as inline, but up to _CERT_QUEUE samples
-    later (after any periodic snapshots between), and run() raises it
-    ahead of a later step's NumericsError."""
+    session's fields.  The certificate job (_certify: the sample's one
+    scatter to the full lattice, 7 forward and 3 inverse full-lattice
+    transforms, the previous sample's E-law terms carried over) takes
+    the sample's compact fields and runs inline, or, when
+    sp.worker_idle and the platform can fork, in a _CertWorker child that
+    carries the E-law terms itself, at most _CERT_QUEUE jobs outstanding
+    until collect().  A failing job then raises as inline, but up to
+    _CERT_QUEUE samples later (after any periodic snapshots between), and
+    run() raises it ahead of a later step's NumericsError."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
@@ -480,10 +562,18 @@ class _Monitor25D:
         self.e_law = params.mu == params.nu
         self.step_before = cfg.sample_every > 1 and self.e_law
         self.terms = None
-        # only onto an idle worker: always overlapping took cert_ref 3.64 -> 3.88 on
-        # one CPU (6 pairs), a 2D N = 128 run 1.27 -> 1.28 s (10 runs, lane 1 busy)
-        self.pool = s3._lane1_pool() if session.sp.worker_idle else None
-        self.pending: list = []  # (row, future) of each job not collected
+        # only onto a CPU the stepper leaves idle: with one CPU, or both lanes
+        # busy, the lane-1 thread this worker replaced measured no gain
+        # (cert_ref 3.64 -> 3.88 on one CPU, 6 pairs; 2D N = 128 1.27 -> 1.28 s)
+        self.worker = None
+        if session.sp.worker_idle:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                # imported once here, before the fork, so no child imports it again
+                import scipy.fft  # noqa: F401
+
+                self.worker = _CertWorker(multiprocessing.get_context("fork"), self._certify)
 
     def dissipation(self) -> tuple:
         s = self.session
@@ -494,9 +584,9 @@ class _Monitor25D:
         """`prev_t` is the time of the previous sample, `before` the
         (t, compact fields) pair one step before this sample, when
         step_before asks for it."""
-        st = self.session.state()  # the certificate's full-lattice state
-        hs2 = self.session.hs2
-        row = {"istep": istep, "t": st.t, **_norm_row(self.session, "v_of_uB")}
+        session = self.session
+        hs2 = session.hs2
+        row = {"istep": istep, "t": session.t, **_norm_row(session, "v_of_uB")}
         h1u2, h2u2, h1b2, h2b2 = hs2("u", 1.0), hs2("u", 2.0), hs2("B", 1.0), hs2("B", 2.0)
         row.update({
             "l2v2": hs2("v_of_uB", 0.0), "h1v2": hs2("v_of_uB", 1.0),
@@ -506,17 +596,19 @@ class _Monitor25D:
             "om2": hs2("curl_u", 0.0),
             "w_weight": row["l2u2"] * h1u2 + float(np.sqrt(h1u2) * np.sqrt(h2u2)),
         })
-        _, dB = s25.rhs_25d(self.session)  # the next step's stage 1
-        if self.pool is None:
-            row.update(self._certify(st, prev_t, before, dB))
+        _, dB = s25.rhs_25d(session)  # the next step's stage 1
+        job = (session.t, session.fields, dB.c, prev_t, before)
+        if self.worker is None:
+            row.update(self._certify(*job))
         else:
-            self.collect(keep=_CERT_QUEUE - 1)
-            self.pending.append((row, self.pool.submit(self._certify, st, prev_t, before, dB)))
+            self.worker.submit(row, *job)
         return row
 
-    def _certify(self, st, prev_t, before, dB) -> dict:
-        """The sample's e_residual and rewritten_res."""
+    def _certify(self, t, fields, dBc, prev_t, before) -> dict:
+        """The e_residual and rewritten_res of the sample whose (t, compact
+        fields) are given and whose dB/dt has full-lattice coefficients dBc."""
         params = self.params
+        st = self.session.state((t, fields))  # the sample's one full-lattice state
         phys = to_physical(st.grid, np.stack([st.u.c, st.B.c]))
         e_res = 0.0
         if self.e_law:
@@ -529,16 +621,19 @@ class _Monitor25D:
                 e_res = s25.E_residual(self.terms, terms, params, st.t - prev_t)
             self.terms = terms
         rw = s25.rewritten_B_rhs(st, params, phys)
-        scale = max(float(np.abs(dB.c).max()), 1e-300)
-        return {"e_residual": e_res, "rewritten_res": float(np.abs(rw.c - dB.c).max()) / scale}
+        scale = max(float(np.abs(dBc).max()), 1e-300)
+        return {"e_residual": e_res, "rewritten_res": float(np.abs(rw.c - dBc).max()) / scale}
 
-    def collect(self, keep: int = 0, fill: bool = True) -> None:
-        """Wait for pending jobs, oldest first, until `keep` are left; with
-        `fill`, put each result in its row (raising a job's exception)."""
-        while len(self.pending) > keep:
-            row, job = self.pending.pop(0)
-            if job.exception() is None or fill:  # exception() waits for the job
-                row.update(job.result())
+    def collect(self) -> None:
+        """Wait for every outstanding job, putting each result in its row
+        (raising a job's exception)."""
+        if self.worker is not None:
+            self.worker.collect()
+
+    def close(self) -> None:
+        """Stop the worker, if any."""
+        if self.worker is not None:
+            self.worker.close()
 
     def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
         cfg = self.cfg

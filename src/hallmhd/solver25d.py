@@ -21,9 +21,9 @@ term, which the session's next step reuses: a sampled dB/dt costs no
 extra nonlinear evaluation.  The certificates (rewritten_B_rhs,
 E_residual on two E_law_terms) evaluate the 2.5D forms on the full
 lattice, from physical fields the caller passes.  A run calls rhs_25d
-on the stepping thread, and the certificates on the stepper's lane-1
-worker thread when that is idle (two CPUs allowed, N < 128), inline
-otherwise.
+on the stepping thread, and the certificates in a forked worker process
+when the stepper leaves a second CPU idle (two CPUs allowed, N < 128),
+inline otherwise (runner).
 
 Certificate transform budget per sample of a run (mu = nu): u and B
 come in one batched inverse call; E_law_terms costs 1 inverse (E) and
@@ -73,25 +73,22 @@ def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
     return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
-def _nonlinear_25d(session: s3.StepSession) -> tuple[SpectralField, SpectralField]:
+def _nonlinear_25d(session: s3.StepSession) -> tuple[np.ndarray, np.ndarray]:
     """Dealiased nonlinear (du/dt, dB/dt) without diffusion on the
-    session's current fields: its stage-1 term, which its next step
-    reuses."""
-    sp = session.sp
-    du, dB = session.rhs()[:2]
-    return sp.scatter_field(du), sp.scatter_field(dB)
+    session's current fields, as compact band rows: its stage-1 term,
+    which its next step reuses."""
+    return session.rhs()[:2]
 
 
 def rhs_25d(session: s3.StepSession) -> tuple[SpectralField, SpectralField]:
     """Full (du/dt, dB/dt) of the 2.5D system on a session's current
-    fields (a StepSession on the 2D lattice)."""
-    du, dB = _nonlinear_25d(session)
-    st, params = session.state(), session.params
-    k2 = st.grid.k2
-    return (
-        du.with_coeffs(du.c - params.mu * k2 * st.u.c),
-        dB.with_coeffs(dB.c - params.nu * k2 * st.B.c),
-    )
+    fields (a StepSession on the 2D lattice).  The diffusion is added on
+    the band, where the off-band modes it would add to are zero, so the
+    state is not scattered."""
+    sp, params = session.sp, session.params
+    (du, dB), (u, B) = _nonlinear_25d(session), session.fields[:2]
+    return (sp.scatter_field(du - params.mu * sp.k2 * u),
+            sp.scatter_field(dB - params.nu * sp.k2 * B))
 
 
 def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,

@@ -155,7 +155,8 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
 #   3D n = 64   24.1 / 18.9 / 12.4
 # Two lanes also win at 3D n = 22 and 24, but a bound low enough to take
 # them would put 2D n >= 104 on two lanes as well, where the one-lane
-# plan leaves the worker free for the 2.5D certificates (runner).
+# plan leaves the second CPU to the 2.5D certificate worker process
+# (runner).
 _LANE_MIN_POINTS = 16384
 
 _pool: ThreadPoolExecutor | None = None
@@ -268,7 +269,7 @@ class _Stepper3D:
         nlanes = 2 if big and two_cpus else 1
         self.stack = 1 if big else nprod
         self.lanes = [_Lane(grid, self.stack, inv_idx, off_idx) for _ in range(nlanes)]
-        self.worker_idle = two_cpus and nlanes == 1  # lane 1's CPU, and no job on it
+        self.worker_idle = two_cpus and nlanes == 1  # a second CPU that no lane uses
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a multiprocessing child running (the 2.5D
+    certificate worker must not outlive run()), and stop the child, so
+    that the next test starts without it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

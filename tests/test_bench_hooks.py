@@ -5,6 +5,7 @@ The benchmark's set-up and micro paths call the library too and must keep
 running."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import scipy.fft
@@ -34,6 +35,9 @@ def _load_child(monkeypatch):
 
 
 def test_tracer_hooks_exist_and_restore(monkeypatch, tmp_path):
+    # one CPU: the 2.5D certificate runs inline, where the tracer sees its
+    # transforms; with two it runs in a forked worker process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     child = _load_child(monkeypatch)
     originals = [owner.__dict__[name] for owner, name in HOOKS]
     tr = child._install_tracer()  # AttributeError if a wrapped name is gone

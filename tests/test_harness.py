@@ -300,48 +300,80 @@ class TestRunner:
     @pytest.mark.parametrize("nu,budget", [(1.0, (7, 3)), (0.5, (5, 2))])
     def test_25d_certificate_transform_budget(self, tmp_path, monkeypatch, nu, budget):
         """Full-lattice transforms per 2.5D sample (the stepper's pruned
-        one-axis transforms, rhs_25d included, are not counted): none on
-        the stepping thread's part of sample(), and in its certificate
-        job, on whichever thread that runs, 7 forward and 3 inverse with
-        the combined-field law (mu = nu), 5 and 2 without it."""
-        import threading
-
+        one-axis transforms, rhs_25d included, are not counted): none in
+        the calling process's part of sample(), and in its certificate
+        job, in whichever process that runs (the worker with two CPUs,
+        this process with one), 7 forward and 3 inverse with the
+        combined-field law (mu = nu), 5 and 2 without it.  Each job logs
+        its counts and its pid to a file."""
         import scipy.fft
 
         from hallmhd import runner
 
-        local = threading.local()  # the counts of the call running on this thread
-        per_sample, per_job = [], []
+        stack = []  # the counts of the calls being counted in this process, innermost last
 
         def counting(fn, slot):
             def wrapped(*args, **kwargs):
-                counts = getattr(local, "counts", None)
-                if counts is not None and len(kwargs.get("axes", ())) == 2:
-                    counts[slot] += 1
+                if stack and len(kwargs.get("axes", ())) == 2:
+                    stack[-1][slot] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        def counted(method, into):
+        sample, certify = runner._Monitor25D.sample, runner._Monitor25D._certify
+
+        def counted(method, report):
             def wrapped(self, *args):
-                outer, local.counts = getattr(local, "counts", None), [0, 0]
+                stack.append([0, 0])
                 try:
                     return method(self, *args)
                 finally:
-                    into.append(tuple(local.counts))
-                    local.counts = outer
+                    report(tuple(stack.pop()))
             return wrapped
+
+        def log_job(counts):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {counts[0]} {counts[1]}\n")
 
         monkeypatch.setattr(scipy.fft, "rfftn", counting(scipy.fft.rfftn, 0))
         monkeypatch.setattr(scipy.fft, "irfftn", counting(scipy.fft.irfftn, 1))
-        monkeypatch.setattr(runner._Monitor25D, "sample",
-                            counted(runner._Monitor25D.sample, per_sample))
-        monkeypatch.setattr(runner._Monitor25D, "_certify",
-                            counted(runner._Monitor25D._certify, per_job))
         cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.005, sample_every=1,
                         nu=nu, amplitude=0.1, seed=5)
-        run(cfg, out_dir=tmp_path / "b")
-        assert per_sample == [(0, 0)] * 6
-        assert per_job == [budget] * 6
+        for ncpu in (2, 1):
+            per_sample, log = [], tmp_path / f"jobs{ncpu}.log"
+            TestCertificateOverlap.cpus(monkeypatch, ncpu)
+            monkeypatch.setattr(runner._Monitor25D, "sample",
+                                counted(sample, per_sample.append))
+            monkeypatch.setattr(runner._Monitor25D, "_certify", counted(certify, log_job))
+            run(cfg, out_dir=tmp_path / str(ncpu))
+            jobs = [line.split() for line in log.read_text().splitlines()]
+            assert per_sample == [(0, 0)] * 6
+            assert [(int(f), int(i)) for _, f, i in jobs] == [budget] * 6
+            assert {int(pid) != os.getpid() for pid, _, _ in jobs} == {ncpu == 2}
+
+    @pytest.mark.parametrize("ncpu", [1, 2])
+    def test_25d_samples_scatter_the_state_once(self, tmp_path, monkeypatch, ncpu):
+        """A three-sample 2D N = 16 run scatters its full-lattice state
+        once per sample and once per before-state, all in the certificate
+        job (_certify; rhs_25d adds its diffusion on the band), and once
+        for the final snapshot.  With two CPUs the jobs run in the worker
+        process, where this process does not count them."""
+        import sys
+        from collections import Counter
+
+        from hallmhd import solver3d as s3
+
+        state, callers = s3.StepSession.state, Counter()
+
+        def counted(session, saved=None):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return state(session, saved)
+
+        TestCertificateOverlap.cpus(monkeypatch, ncpu)
+        monkeypatch.setattr(s3.StepSession, "state", counted)
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.01, sample_every=5,
+                        amplitude=0.1, seed=5)
+        run(cfg, out_dir=tmp_path / "r")
+        assert callers == {"run": 1, **({"_certify": 3 + 2} if ncpu == 1 else {})}
 
     @pytest.mark.parametrize("sample_every", [1, 5])
     def test_25d_stage1_evaluated_once_per_step(self, tmp_path, monkeypatch, sample_every):
@@ -454,9 +486,11 @@ class TestRunner:
 
 
 class TestCertificateOverlap:
-    """A 2.5D sample's certificate job runs on the lane-1 worker when two
-    CPUs are allowed and the stepper runs on one lane, and inline
-    otherwise; the patched affinity picks the path."""
+    """A 2.5D sample's certificate job runs in a forked worker process
+    when two CPUs are allowed and the stepper runs on one lane, and
+    inline otherwise; the patched affinity picks the path.  The patched
+    certificate logs each call's pid to a file, so the worker's calls are
+    seen as well as this process's."""
 
     @staticmethod
     def cpus(monkeypatch, n: int) -> None:
@@ -464,71 +498,87 @@ class TestCertificateOverlap:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @staticmethod
-    def recorded_pool(monkeypatch) -> tuple[list, list]:
-        """The futures of every job given to the lane-1 worker, and the
-        number of them not done just after each submission."""
-        from hallmhd import solver3d as s3
+    def calls(log: Path) -> list[int]:
+        """The pid of each certificate call logged, in order."""
+        return [int(pid) for pid in log.read_text().split()] if log.exists() else []
 
-        futures, pending = [], []
-        pool = s3._lane1_pool()
+    @classmethod
+    def recorded_worker(cls, monkeypatch, log: Path) -> tuple[list, list]:
+        """The workers started, and per job submitted the number of jobs
+        not done (submitted, certificate call not logged) just after."""
+        from hallmhd import runner
 
-        class Recording:
-            def submit(self, *args):
-                futures.append(pool.submit(*args))
-                pending.append(sum(not f.done() for f in futures))
-                return futures[-1]
+        workers, pending = [], []
+        init, submit = runner._CertWorker.__init__, runner._CertWorker.submit
 
-        monkeypatch.setattr(s3, "_lane1_pool", Recording)
-        return futures, pending
+        def recording_init(self, *args):
+            init(self, *args)
+            workers.append(self)
 
-    @staticmethod
-    def slowed(monkeypatch, seconds: float, fail_at: int | None = None) -> list:
-        """Make rewritten_B_rhs sleep, and raise on call `fail_at`; returns
-        the names of the threads it ran on."""
-        import threading
+        def recording_submit(self, *args):
+            submit(self, *args)
+            pending.append(len(pending) + 1 - len(cls.calls(log)))
+
+        monkeypatch.setattr(runner._CertWorker, "__init__", recording_init)
+        monkeypatch.setattr(runner._CertWorker, "submit", recording_submit)
+        return workers, pending
+
+    @classmethod
+    def slowed(cls, monkeypatch, log: Path, seconds: float, fail_at: int | None = None) -> None:
+        """Make rewritten_B_rhs sleep, and raise on call `fail_at`; each
+        call appends its pid to `log` once it is done."""
         import time
 
         from hallmhd import solver25d as s25
 
-        rewritten, threads = s25.rewritten_B_rhs, []
+        rewritten = s25.rewritten_B_rhs
 
         def slow(*args):
-            threads.append(threading.current_thread().name)
-            if len(threads) == fail_at:
-                raise RuntimeError("certificate failed")
-            time.sleep(seconds)
-            return rewritten(*args)
+            try:
+                if len(cls.calls(log)) + 1 == fail_at:
+                    raise RuntimeError("certificate failed")
+                time.sleep(seconds)
+                return rewritten(*args)
+            finally:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
 
         monkeypatch.setattr(s25, "rewritten_B_rhs", slow)
-        return threads
 
     @pytest.mark.parametrize("nu", [1.0, 0.5])
     @pytest.mark.parametrize("sample_every", [1, 3])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_two_cpus_and_one_give_identical_artifacts(self, tmp_path, monkeypatch,
                                                         n, sample_every, nu):
-        threads = self.slowed(monkeypatch, 0.0)
         cfg = RunConfig(dimension=2.5, n=n, dt=1e-3, t_end=0.02, nu=nu,
                         sample_every=sample_every, amplitude=0.1, seed=5)
-        outs = {}
+        outs, log = {}, tmp_path / "calls.log"
+        self.slowed(monkeypatch, log, 0.0)
         for ncpu in (2, 1):
+            log.unlink(missing_ok=True)
             self.cpus(monkeypatch, ncpu)
-            threads.clear()
             run(cfg, out_dir=tmp_path / str(ncpu))
             outs[ncpu] = {p.name: p.read_bytes() for p in (tmp_path / str(ncpu)).iterdir()}
-            on_worker = {name.startswith("hallmhd-lane1") for name in threads}
-            assert on_worker == {ncpu == 2}
+            pids = self.calls(log)
+            assert len(set(pids)) == 1  # one worker per run, or this process
+            assert {pid != os.getpid() for pid in pids} == {ncpu == 2}
         assert len(outs[1]) > 3 and outs[2] == outs[1]
 
     def test_failing_job_surfaces_from_run_and_leaves_none_pending(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        log = tmp_path / "calls.log"
         self.cpus(monkeypatch, 2)
-        futures, _ = self.recorded_pool(monkeypatch)
-        self.slowed(monkeypatch, 0.005, fail_at=4)
+        workers, pending = self.recorded_worker(monkeypatch, log)
+        self.slowed(monkeypatch, log, 0.005, fail_at=4)
         cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
                         amplitude=0.1, seed=5)
-        with pytest.raises(RuntimeError, match="certificate failed"):
+        with pytest.raises(RuntimeError, match="certificate failed") as err:
             run(cfg, out_dir=tmp_path / "f")
-        assert len(futures) > 4 and all(f.done() for f in futures)
+        assert "in _certify" in str(err.value.__cause__)  # the worker's traceback
+        [worker] = workers
+        assert len(pending) > 4 and not worker.proc.is_alive()
+        assert multiprocessing.active_children() == []
         assert not (tmp_path / "f" / "summary.json").exists()
 
     @staticmethod
@@ -547,15 +597,22 @@ class TestCertificateOverlap:
         monkeypatch.setattr(s3._Stepper3D, "advance", poisoned)
 
     def test_numerics_error_waits_for_the_worker(self, tmp_path, monkeypatch):
+        """Every job submitted before the failing step ran to its end and
+        had its result read before run() raised."""
+        import multiprocessing
+
+        log = tmp_path / "calls.log"
         self.cpus(monkeypatch, 2)
-        futures, _ = self.recorded_pool(monkeypatch)
-        self.slowed(monkeypatch, 0.02)
+        workers, pending = self.recorded_worker(monkeypatch, log)
+        self.slowed(monkeypatch, log, 0.02)
         self.poisoned(monkeypatch, 12)
         cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
                         amplitude=0.1, seed=5)
         with pytest.raises(NumericsError, match="at step 12 "):
             run(cfg, out_dir=tmp_path / "n")
-        assert len(futures) == 12 and all(f.done() for f in futures)
+        [worker] = workers
+        assert len(pending) == 12 and len(self.calls(log)) == 12 and worker.pending == []
+        assert not worker.proc.is_alive() and multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("ncpu", [2, 1])
     def test_failed_certificate_comes_before_a_later_step_error(self, tmp_path, monkeypatch,
@@ -564,29 +621,108 @@ class TestCertificateOverlap:
         the failure stops the run at sample 9; overlapped the job is still
         pending at step 12 (the bound keeps 7 behind), and run() raises it
         ahead of the NumericsError."""
+        log = tmp_path / "calls.log"
         self.cpus(monkeypatch, ncpu)
-        futures, _ = self.recorded_pool(monkeypatch)
-        self.slowed(monkeypatch, 0.02, fail_at=10)
+        workers, pending = self.recorded_worker(monkeypatch, log)
+        self.slowed(monkeypatch, log, 0.02, fail_at=10)
         self.poisoned(monkeypatch, 12)
         cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
                         amplitude=0.1, seed=5)
         with pytest.raises(RuntimeError, match="certificate failed") as err:
             run(cfg, out_dir=tmp_path / "n")
         assert not isinstance(err.value, NumericsError)
-        assert len(futures) == (12 if ncpu == 2 else 0) and all(f.done() for f in futures)
+        assert len(workers) == (1 if ncpu == 2 else 0)
+        assert len(pending) == (12 if ncpu == 2 else 0)
+        assert not any(w.proc.is_alive() for w in workers)
         assert not (tmp_path / "n" / "snap_last_good.hmhd").exists()
 
     def test_pending_jobs_never_exceed_the_bound(self, tmp_path, monkeypatch):
         from hallmhd import runner
 
+        log = tmp_path / "calls.log"
         self.cpus(monkeypatch, 2)
-        futures, pending = self.recorded_pool(monkeypatch)
-        self.slowed(monkeypatch, 0.005)  # the worker falls behind
+        _, pending = self.recorded_worker(monkeypatch, log)
+        self.slowed(monkeypatch, log, 0.005)  # the worker falls behind
         cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
                         amplitude=0.1, seed=5)
         run(cfg, out_dir=tmp_path / "b")
-        assert len(futures) == 31
+        assert len(pending) == 31
         assert max(pending) == runner._CERT_QUEUE
+
+    @pytest.mark.parametrize("ending", ["pass", "certificate", "numerics", "interrupt"])
+    def test_no_process_outlives_the_run(self, tmp_path, monkeypatch, ending):
+        """Whether the run passes, a certificate fails, a step turns
+        non-finite or a step is interrupted, run() stops its worker."""
+        import multiprocessing
+
+        from hallmhd import solver3d as s3
+
+        log = tmp_path / "calls.log"
+        self.cpus(monkeypatch, 2)
+        workers, _ = self.recorded_worker(monkeypatch, log)
+        self.slowed(monkeypatch, log, 0.002, fail_at=5 if ending == "certificate" else None)
+        if ending == "numerics":
+            self.poisoned(monkeypatch, 8)
+        elif ending == "interrupt":
+            advance, calls = s3._Stepper3D.advance, []
+
+            def interrupted(self, *args):
+                calls.append(None)
+                if len(calls) == 8:
+                    raise KeyboardInterrupt
+                return advance(self, *args)
+
+            monkeypatch.setattr(s3._Stepper3D, "advance", interrupted)
+        raised = {"pass": None, "certificate": RuntimeError, "numerics": NumericsError,
+                  "interrupt": KeyboardInterrupt}[ending]
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.02, sample_every=1,
+                        amplitude=0.1, seed=5)
+        if raised is None:
+            assert run(cfg, out_dir=tmp_path / "r").passed
+        else:
+            with pytest.raises(raised):
+                run(cfg, out_dir=tmp_path / "r")
+        [worker] = workers
+        assert worker.proc.exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_the_run_within_seconds(self, tmp_path, monkeypatch):
+        """A worker killed mid-run makes run() raise, naming the worker,
+        instead of waiting for its results."""
+        import multiprocessing
+        import signal
+        import time
+
+        from hallmhd import solver3d as s3
+
+        self.cpus(monkeypatch, 2)
+        workers, _ = self.recorded_worker(monkeypatch, tmp_path / "calls.log")
+        advance, calls = s3._Stepper3D.advance, []
+
+        def killing(self, *args):
+            calls.append(None)
+            if len(calls) == 5:
+                os.kill(workers[0].proc.pid, signal.SIGKILL)
+            return advance(self, *args)
+
+        def hung(signum, frame):
+            raise TimeoutError("run() still waits 30 s after its worker was killed")
+
+        monkeypatch.setattr(s3._Stepper3D, "advance", killing)
+        cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.03, sample_every=1,
+                        amplitude=0.1, seed=5)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match=r"certificate worker exited \(exit code -9\)"):
+                run(cfg, out_dir=tmp_path / "k")
+            elapsed = time.monotonic() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 5.0
+        assert multiprocessing.active_children() == []
 
 
 class TestPresets:
@@ -780,14 +916,16 @@ class TestPresets:
 
 
 class TestImportSet:
-    """SciPy stays off the 3D path: the stepper transforms with numpy.fft,
-    and only fields.to_spectral/to_physical import scipy.fft, on their
-    first call.  Each check runs in a fresh interpreter, since the tests
-    import SciPy themselves."""
+    """SciPy and multiprocessing stay off the 3D path: the stepper
+    transforms with numpy.fft, only fields.to_spectral/to_physical import
+    scipy.fft, on their first call, and only a 2.5D run that forks its
+    certificate worker imports multiprocessing.  Each check runs in a
+    fresh interpreter, since the tests import both themselves."""
 
     @staticmethod
     def scipy_loaded(code: str, *argv: str) -> list[str]:
-        """The scipy modules loaded once `code` has run with `argv`."""
+        """The scipy and multiprocessing modules loaded once `code` has
+        run with `argv`."""
         import hallmhd
 
         code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
@@ -796,7 +934,7 @@ class TestImportSet:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()[-1]
-        return [m for m in out.split() if m == "scipy" or m.startswith("scipy.")]
+        return [m for m in out.split() if m.split(".")[0] in ("scipy", "multiprocessing")]
 
     def test_library_imports_no_scipy(self):
         assert self.scipy_loaded(
@@ -818,12 +956,23 @@ class TestImportSet:
         assert (tmp_path / "twins" / "report.json").exists()
 
     def test_2p5d_run_loads_scipy_fft(self, tmp_path):
-        """The 2.5D certificate's full-lattice transforms import scipy.fft."""
-        code = ("import sys\nfrom hallmhd import RunConfig, run\n"
+        """The 2.5D certificate's full-lattice transforms import scipy.fft,
+        on one CPU and on two.  multiprocessing is loaded only where the
+        run forks its worker (two CPUs allowed), and no child outlives
+        the run."""
+        code = ("import os, sys\n"
+                "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[2])])\n"
+                "from hallmhd import RunConfig, run\n"
                 "run(RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.004, sample_every=2,\n"
-                "              seed=1), out_dir=sys.argv[1])")
-        assert "scipy.fft" in self.scipy_loaded(code, str(tmp_path / "run"))
-        assert (tmp_path / "run" / "summary.json").exists()
+                "              seed=1), out_dir=sys.argv[1])\n"
+                "mp = sys.modules.get('multiprocessing')\n"
+                "assert mp is None or not mp.active_children()")
+        for ncpu in range(1, min(2, len(os.sched_getaffinity(0))) + 1):
+            out = tmp_path / f"run{ncpu}"
+            loaded = self.scipy_loaded(code, str(out), str(ncpu))
+            assert "scipy.fft" in loaded
+            assert ("multiprocessing" in loaded) == (ncpu == 2)
+            assert (out / "summary.json").exists()
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 """Every public name of the library has a caller outside the tests, only
-the run driver steps sessions, and no module imports SciPy on import.
+the run driver steps sessions, and no module imports SciPy or
+multiprocessing on import.
 
 A public top-level function or class of src/hallmhd, or a public method
 of a public class, counts as used when some code in src/hallmhd, bench/
@@ -125,14 +126,30 @@ def _imports(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
+def _imported_outside(top: str, allowed: set[tuple[str, str]]) -> list[str]:
+    """Imports of package `top` in the library outside the (module,
+    enclosing definition) places `allowed`."""
+    return [f"{path.stem}.{where or '<module>'} imports {module}"
+            for path in sorted(LIBRARY.glob("*.py"))
+            for module, where in _imports(_parse(path))
+            if module.split(".")[0] == top and (path.stem, where) not in allowed]
+
+
 def test_scipy_is_imported_only_by_the_full_lattice_transforms():
     """No library module imports scipy at module level, so the 3D run path
     (the stepper transforms with numpy.fft) loads no SciPy module.  Only
     fields.to_spectral and to_physical import scipy.fft, inside the
-    function, on their first call."""
-    allowed = {("fields", "to_spectral"), ("fields", "to_physical")}
-    found = [f"{path.stem}.{where or '<module>'} imports {module}"
-             for path in sorted(LIBRARY.glob("*.py"))
-             for module, where in _imports(_parse(path))
-             if module.split(".")[0] == "scipy" and (path.stem, where) not in allowed]
+    function, on their first call, and the 2.5D monitor before it forks
+    its certificate worker, so that the child inherits it."""
+    allowed = {("fields", "to_spectral"), ("fields", "to_physical"),
+               ("runner", "_Monitor25D.__init__")}
+    found = _imported_outside("scipy", allowed)
     assert not found, f"scipy imports off the full-lattice transforms: {found}"
+
+
+def test_multiprocessing_is_imported_only_by_the_2p5d_monitor():
+    """No library module imports multiprocessing at module level: only
+    the 2.5D monitor does, inside the function, when it may fork its
+    certificate worker."""
+    found = _imported_outside("multiprocessing", {("runner", "_Monitor25D.__init__")})
+    assert not found, f"multiprocessing imports off the 2.5D monitor: {found}"
