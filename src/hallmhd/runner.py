@@ -15,15 +15,16 @@ budget import scipy.fft).
 Both monitors read every record norm from the session's compact band.
 A 2.5D sample's full-lattice certificate runs in a forked worker
 process while the run steps on, when the stepper leaves a second CPU
-idle (two CPUs allowed, 2D N < 128) and the platform can fork, and
-inline otherwise; run() collects every certificate before the records
-and stops the worker before it returns or raises.  The latest sample is
-kept as the session's (t, compact fields), scattered only to flush
-snap_last_good.hmhd; the initial state and each snapshot's are dropped
-once written, so past sample 0 the loop holds at most one full-lattice
-state (that of the sample or snapshot being taken).  Each monitor
-scatters its own: a 2.5D sample once, in its certificate job (so in the
-worker when there is one), a 3D one only under compute_budgets."""
+idle (two CPUs allowed, 2D N < 128), the platform can fork and the
+caller is not a daemonic process, and inline otherwise; run() collects
+every certificate before the records and stops the worker before it
+returns or raises.  The latest sample is kept as the session's (t,
+compact fields), scattered only to flush snap_last_good.hmhd; the
+initial state and each snapshot's are dropped once written, so past
+sample 0 the loop holds at most one full-lattice state (that of the
+sample or snapshot being taken).  Each monitor scatters its own: a 2.5D
+sample once, in its certificate job (so in the worker when there is
+one), a 3D one only under compute_budgets."""
 
 from __future__ import annotations
 
@@ -548,9 +549,9 @@ class _Monitor25D:
     scatter to the full lattice, 7 forward and 3 inverse full-lattice
     transforms, the previous sample's E-law terms carried over) takes
     the sample's compact fields and runs inline, or, when
-    sp.worker_idle and the platform can fork, in a _CertWorker child that
-    carries the E-law terms itself, at most _CERT_QUEUE jobs outstanding
-    until collect().  A failing job then raises as inline, but up to
+    sp.worker_idle, the platform can fork and the caller is not
+    daemonic, in a _CertWorker child that carries the E-law terms
+    itself, at most _CERT_QUEUE jobs outstanding until collect().  A failing job then raises as inline, but up to
     _CERT_QUEUE samples later (after any periodic snapshots between), and
     run() raises it ahead of a later step's NumericsError."""
 
@@ -569,7 +570,9 @@ class _Monitor25D:
         if session.sp.worker_idle:
             import multiprocessing
 
-            if "fork" in multiprocessing.get_all_start_methods():
+            # a daemonic process (a multiprocessing.Pool worker) may start none
+            if ("fork" in multiprocessing.get_all_start_methods()
+                    and not multiprocessing.current_process().daemon):
                 # imported once here, before the fork, so no child imports it again
                 import scipy.fft  # noqa: F401
 

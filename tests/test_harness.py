@@ -686,6 +686,24 @@ class TestCertificateOverlap:
         assert worker.proc.exitcode is not None
         assert multiprocessing.active_children() == []
 
+    def test_daemonic_caller_certifies_inline(self, tmp_path, monkeypatch):
+        """A daemonic process (a multiprocessing.Pool worker is one) may not
+        start children, so a run there certifies inline and passes."""
+        import multiprocessing
+
+        log = tmp_path / "calls.log"
+        self.cpus(monkeypatch, 2)
+        self.slowed(monkeypatch, log, 0.0)
+        cfg = RunConfig(dimension=2.5, n=16, dt=1e-3, t_end=0.005, sample_every=1,
+                        amplitude=0.1, seed=5)
+        caller = multiprocessing.get_context("fork").Process(
+            target=run, args=(cfg, tmp_path / "d"), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert caller.exitcode == 0  # 1 if run() raised
+        assert self.calls(log) == [caller.pid] * 6
+        assert (tmp_path / "d" / "summary.json").exists()
+
     def test_killed_worker_fails_the_run_within_seconds(self, tmp_path, monkeypatch):
         """A worker killed mid-run makes run() raise, naming the worker,
         instead of waiting for its results."""
