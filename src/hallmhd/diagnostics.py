@@ -46,7 +46,6 @@ __all__ = [
     "energy_drift_series",
     "monotonicity_monitor",
     "decay_monitor",
-    "fit_budget_6100",
 ]
 
 
@@ -187,21 +186,6 @@ def budget_residuals(b0: dict, b1: dict, h: float, params: PhysicalParams) -> di
     return {"res_u": abs(res_u), "res_b": abs(res_b), "res_v": abs(res_v)}
 
 
-def fit_budget_6100(samples: list[dict]) -> float:
-    """Empirical constant in d/dt X^2 + 2 mu Y^2 <= C X Y^2 for the triple
-    budget (X^2, Y^2 the summed squared H^{1/2} and H^{3/2} norms): the
-    identity gives d/dt X^2 + 2 mu Y^2 = 2 sum A_i, so C is fitted as the
-    max of 2 sum A_i / (X Y^2)."""
-    c = 0.0
-    for b in samples:
-        total = 2.0 * sum(b[f"a{i}"] for i in range(1, 9))
-        x = np.sqrt(b["xu"] + b["xb"] + b["xv"])
-        y2 = b["yu"] + b["yb"] + b["yv"]
-        if total > 0 and x > 0 and y2 > 0:
-            c = max(c, total / (x * y2))
-    return c
-
-
 # cancellation / adjointness ----------------------------------------------
 
 def cancellation_check(v: SpectralField, B: SpectralField) -> float:
@@ -277,16 +261,14 @@ def monotonicity_monitor(t: np.ndarray, triple12_sq: np.ndarray,
     return {
         "nonincreasing": bool(max_uptick <= 1e-8 * scale),
         "max_uptick": max_uptick,
-        "max_uptick_rel": max_uptick / scale,
         "ineq_2888_holds": bool(max_violation <= 1e-10 * scale),
         "max_violation_2888": max_violation,
-        "max_violation_2888_rel": max_violation / scale,
     }
 
 
 def decay_monitor(t: np.ndarray, triple12_sq: np.ndarray) -> dict:
-    """Checkpoints, the fitted exponential rate of the squared triple norm
-    (log-linear least squares), and the final/initial ratio."""
+    """The fitted exponential rate of the squared triple norm (log-linear
+    least squares) and its final/initial ratio."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(triple12_sq, dtype=float)
     pos = y > 0
@@ -295,5 +277,4 @@ def decay_monitor(t: np.ndarray, triple12_sq: np.ndarray) -> dict:
         slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
         rate = -float(slope)
     ratio = float(y[-1] / y[0]) if y[0] > 0 else 0.0
-    return {"fitted_rate": rate, "final_over_initial": ratio,
-            "initial": float(y[0]), "final": float(y[-1])}
+    return {"fitted_rate": rate, "final_over_initial": ratio}

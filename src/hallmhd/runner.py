@@ -8,8 +8,9 @@ NumericsError naming the step that fails.
 3D and 2.5D runs share one loop on solver3d's StepSession (2.5D is the
 3D physical system on a 2D lattice); a per-dimension monitor supplies
 the dissipation integrands, the sample rows and the summary keys.  The
-integrands, one per step, are integrated once after the loop by
-diagnostics.cumulative_simpson (numpy only: the loop imports no SciPy
+three integrands of a step (||grad .||^2 of u, B and v) are integrated
+once after the loop by diagnostics.cumulative_simpson into the diss_u,
+diss_b and diss_v columns (numpy only: the loop imports no SciPy
 module; the full-lattice transforms of a 2.5D certificate or a 3D
 budget import scipy.fft).
 Both monitors read every record norm from the session's compact band.
@@ -47,7 +48,6 @@ from .diagnostics import (
     cumulative_simpson,
     decay_monitor,
     energy_drift_series,
-    fit_budget_6100,
     monotonicity_monitor,
     write_records_csv,
 )
@@ -190,20 +190,21 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         monitor.close()  # no certificate job or worker outlives the call
     snapshot("snap_final.hmhd", session.state())
 
-    # cumulative dissipation integrals int_0^t ||grad .||^2, one per column
-    cum = [cumulative_simpson(col, cfg.dt) for col in zip(*integrands)]
+    # the cumulative dissipation integrals int_0^t ||grad .||^2 of u, B and
+    # v at the samples
     idx = np.array([r["istep"] for r in samples])
+    diss_u, diss_b, diss_v = (cumulative_simpson(col, cfg.dt)[idx] for col in zip(*integrands))
     t_arr = np.array([r["t"] for r in samples])
     l2u2 = np.array([r["l2u2"] for r in samples])
     l2b2 = np.array([r["l2b2"] for r in samples])
-    drift = energy_drift_series(t_arr, l2u2, l2b2, cum[0][idx], cum[1][idx], cfg.mu, cfg.nu)
+    drift = energy_drift_series(t_arr, l2u2, l2b2, diss_u, diss_b, cfg.mu, cfg.nu)
 
     records = []
-    for r in samples:
+    for r, du, db, dv in zip(samples, diss_u, diss_b, diss_v):
         records.append(DiagnosticsRecord(
             **{col: r[col] for col in RECORD_COLUMNS if col in r},
             **{col: float(np.sqrt(r[key])) for col, key, _, _ in _NORM_COLUMNS},
-            **{col: float(c[r["istep"]]) for col, c in zip(("diss_u", "diss_b", "diss_v"), cum)},
+            diss_u=float(du), diss_b=float(db), diss_v=float(dv),
         ))
         records[-1].validate()
 
@@ -213,9 +214,8 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         "energy_drift_max": float(drift.max()),
         "energy_drift_series": [float(x) for x in drift],
         "pass_energy": bool(drift.max() <= TOL_ENERGY_DRIFT),
-        "snapshot_files": ["snap_initial.hmhd", "snap_final.hmhd"],
         "snapshot_times": snap_times,
-        **monitor.summary(samples, cum, idx),
+        **monitor.summary(samples),
     }
     summary["pass"] = bool(all(v for k, v in summary.items() if k.startswith("pass_")))
 
@@ -361,7 +361,6 @@ class _Monitor3D:
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.cfg, self.params, self.session = cfg, params, session
         self.extended = session.extended
-        self.budget_rows: list[dict] = []
         self.budget_residuals: list[dict] = []
         self.budget_prev = None  # budget terms (s = 1/2, budget_s) of the previous sample
         self.hi_mask = None
@@ -406,7 +405,6 @@ class _Monitor3D:
             s = self.cfg.budget_s
             bt = budget_terms(st, params, 0.5)
             terms = (bt, bt if s == 0.5 else budget_terms(st, params, s))
-            self.budget_rows.append(bt)
             row.update({f"a{i}": bt[f"a{i}"] for i in range(1, 9)})
             row["cancellation"] = cancellation_check(st.v, st.B)
             if prev_t is not None:
@@ -418,7 +416,7 @@ class _Monitor3D:
             self.budget_prev = terms
         return row
 
-    def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
+    def summary(self, samples: list[dict]) -> dict:
         cfg = self.cfg
         t_arr = np.array([r["t"] for r in samples])
         trip12 = np.array([r["h12u2"] + r["h12b2"] + r["h12v_mon2"] for r in samples])
@@ -439,15 +437,12 @@ class _Monitor3D:
             hi = np.array([r["hi2"] for r in samples])
             diffs = np.diff(hi)
             out["partition_residual"] = self.partition_residual
-            out["highfreq_l2_series"] = [float(np.sqrt(x)) for x in hi]
             tail = diffs[1:] if diffs.size > 1 else diffs
             out["highfreq_monotone_after_first"] = bool(
                 np.all(tail <= 1e-12 * max(hi[0], 1e-300)))
         if self.budget_residuals:
             out["budget_residual_max_s05"], out["budget_residual_max_ss"] = map(
                 max, zip(*self.budget_residuals))
-            out["budget_c6100_fit"] = fit_budget_6100(self.budget_rows)
-            out["cancellation_max"] = max(r.get("cancellation", 0.0) for r in samples)
         return out
 
 
@@ -538,10 +533,10 @@ def _serve(job, conn, parent_end) -> None:
 
 class _Monitor25D:
     """Band norms of the sampled state (the record norms as in the 3D
-    monitor, plus the H^1/H^2 and vorticity norms behind the fitted
-    constants), the full-lattice certificates (the combined-field law and
-    the rewritten induction equation), and the fitted constants of the
-    v-inequality, the B-H1 budget and the vorticity bound.
+    monitor, plus the H^1/H^2 norms behind the fitted constants), the
+    full-lattice certificates (the combined-field law and the rewritten
+    induction equation), and the fitted constants of the v-inequality
+    and the B-H1 budget.
 
     The calling thread forms a sample's band norms and dB/dt (the
     stage-1 term, which the next step reuses); only it reads the
@@ -551,12 +546,13 @@ class _Monitor25D:
     the sample's compact fields and runs inline, or, when
     sp.worker_idle, the platform can fork and the caller is not
     daemonic, in a _CertWorker child that carries the E-law terms
-    itself, at most _CERT_QUEUE jobs outstanding until collect().  A failing job then raises as inline, but up to
-    _CERT_QUEUE samples later (after any periodic snapshots between), and
-    run() raises it ahead of a later step's NumericsError."""
+    itself, at most _CERT_QUEUE jobs outstanding until collect().  A
+    failing job then raises as inline, but up to _CERT_QUEUE samples
+    later (after any periodic snapshots between), and run() raises it
+    ahead of a later step's NumericsError."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
-        self.cfg, self.params, self.session = cfg, params, session
+        self.params, self.session = params, session
         # the combined-field law is checked across the step before each
         # sample; at sample_every = 1 that step starts at the previous
         # sample, whose E-law terms are kept in self.terms
@@ -580,8 +576,7 @@ class _Monitor25D:
 
     def dissipation(self) -> tuple:
         s = self.session
-        return (s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0),
-                s.hs2("curl_u", 1.0), s.hs2("curl_B", 1.0))
+        return s.hs2("u", 1.0), s.hs2("B", 1.0), s.hs2("v_of_uB", 1.0)
 
     def sample(self, istep: int, prev_t: float | None, before: tuple | None) -> dict:
         """`prev_t` is the time of the previous sample, `before` the
@@ -596,7 +591,6 @@ class _Monitor25D:
             "h1u2": h1u2, "h1b2": h1b2,
             "bh1_2": row["l2b2"] + h1b2,  # inhomogeneous H^1: B is mean-free
             "nabB_h1_2": h1b2 + h2b2, "nabB": float(np.sqrt(h1b2)), "lapB2": h2b2,
-            "om2": hs2("curl_u", 0.0),
             "w_weight": row["l2u2"] * h1u2 + float(np.sqrt(h1u2) * np.sqrt(h2u2)),
         })
         _, dB = s25.rhs_25d(session)  # the next step's stage 1
@@ -638,8 +632,7 @@ class _Monitor25D:
         if self.worker is not None:
             self.worker.close()
 
-    def summary(self, samples: list[dict], cum: list[np.ndarray], idx: np.ndarray) -> dict:
-        cfg = self.cfg
+    def summary(self, samples: list[dict]) -> dict:
         # fitted constants of the v-inequality and the B-H1 budget
         c611 = 0.0
         c615 = 0.0
@@ -656,14 +649,6 @@ class _Monitor25D:
             if db > 0 and denb > 0:
                 c615 = max(c615, db / denb)
 
-        # a-priori vorticity bound with a fitted constant
-        l2b2_0 = samples[0]["l2b2"]
-        om0_b0 = samples[0]["om2"] + l2b2_0
-        lhs_om = np.array([r["om2"] for r in samples]) + cum[3][idx]
-        e0_4 = (samples[0]["l2u2"] + l2b2_0) ** 2
-        q = float(lhs_om.max()) / (2.0 * om0_b0) - 1.0 if om0_b0 > 0 else 0.0
-        c_omega = float(np.log(q) / e0_4) if (q > 1.0 and e0_4 > 0) else 0.0
-
         e_res_max = max((r["e_residual"] for r in samples[1:]), default=0.0)
         rw_max = max(r["rewritten_res"] for r in samples)
         out = {
@@ -671,12 +656,8 @@ class _Monitor25D:
             "rewritten_res_max": rw_max,
             "c611_fit": c611,
             "c615_fit": c615,
-            "c_omega_fit": c_omega,
-            "omega_bound_lhs_max": float(lhs_om.max()),
-            "omega_bound_rhs": float(2.0 * om0_b0 * (1.0 + np.exp(c_omega * e0_4))),
-            "j_l2h1_integral": float(cum[4][-1]),
             "pass_rewritten": bool(rw_max <= 1e-11),
         }
-        if cfg.mu == cfg.nu:
+        if self.e_law:
             out["pass_e_residual"] = bool(e_res_max <= TOL_E_RESIDUAL)
         return out

@@ -520,8 +520,8 @@ class StepSession:
 
     def hs2(self, which: str, s: float) -> float:
         """Squared H^s norm of one evolved field ('u', 'B', 'v'), of the
-        recomputed electron velocity 'v_of_uB', or of the vorticity
-        'curl_u' or the current 'curl_B'."""
+        recomputed electron velocity 'v_of_uB', or of the current
+        'curl_B'."""
         sp = self.sp
         mag2 = self._mag2.get(which)
         if mag2 is None:
@@ -529,7 +529,7 @@ class StepSession:
             comps = {
                 "u": lambda: u, "B": lambda: B,
                 "v_of_uB": lambda: u - self.params.eps * sp._curl(B),
-                "curl_u": lambda: sp._curl(u), "curl_B": lambda: sp._curl(B),
+                "curl_B": lambda: sp._curl(B),
             }
             if self.extended:
                 comps["v"] = lambda: self.fields[2]

@@ -16,7 +16,6 @@ from hallmhd.diagnostics import (
     cumulative_simpson,
     decay_monitor,
     energy_drift_series,
-    fit_budget_6100,
     monotonicity_monitor,
     write_records_csv,
 )
@@ -98,12 +97,6 @@ class TestBudget:
         b = budget_terms(st, P1)
         with pytest.raises(ValueError, match="time-ordered"):
             budget_residuals(b, b, 0.0, P1)
-
-    def test_fitted_6100_constant(self, g3):
-        u0, B0 = s3.make_initial(g3, "random_band", 0.3, seed=19)
-        st = s3.make_state(u0, B0, P1, extended=True)
-        c = fit_budget_6100([budget_terms(st, P1)])
-        assert np.isfinite(c) and c >= 0.0
 
 
 class TestCumulativeSimpson:

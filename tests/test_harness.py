@@ -218,6 +218,62 @@ class TestRunner:
         json.loads(text)  # zero-data runs have no fitted rate; must still parse
         assert "NaN" not in text
 
+    # every summary.json key is a pass_* flag, the input of one, or read by a
+    # test, bench/ or tools/ (or names the run); a key that none of these
+    # reads must not come back unnoticed
+    SUMMARY_COMMON = {
+        "dimension", "formulation",  # label: the run's system
+        "energy_drift_max",     # gate input: pass_energy; bench/run.py, acceptance 4
+        "energy_drift_series",  # reader: acceptance 4's order ratio, bench/child.py
+        "pass_energy",          # flag
+        "snapshot_times",       # reader: TestConfig's periodic-snapshot tests
+        "pass",                 # flag: the conjunction of the pass_* flags
+    }
+    SUMMARY_3D = SUMMARY_COMMON | {
+        "monotonicity",       # gate input: pass_monotonicity; acceptance 5, threshold-bisect
+        "pass_monotonicity",  # flag
+        "decay",              # gate input: pass_decay; fitted_rate: acceptance 3
+        "pass_decay",         # flag
+    }
+    SUMMARY_2P5D = SUMMARY_COMMON | {
+        "e_residual_max",     # gate input: pass_e_residual; bench/run.py, acceptance 7
+        "rewritten_res_max",  # gate input: pass_rewritten; acceptance 7
+        "pass_rewritten",     # flag
+        "c611_fit", "c615_fit",  # reader: test_25d_run_summary
+    }
+    MONOTONICITY = {
+        "nonincreasing", "ineq_2888_holds",    # gate input: pass_monotonicity
+        "max_uptick", "max_violation_2888",    # reader: acceptance 5
+    }
+    DECAY = {
+        "fitted_rate",         # reader: acceptance 3, test_beltrami_decay_columns
+        "final_over_initial",  # gate input: pass_decay
+    }
+
+    @pytest.mark.parametrize("extra,keys", [
+        (dict(dimension=3.0), SUMMARY_3D),
+        (dict(dimension=3.0, nu=0.6), SUMMARY_3D),
+        (dict(dimension=3.0, formulation="extended", compute_budgets=True, filter_rho=2.0),
+         SUMMARY_3D | {
+             "v_drift_max",    # gate input: pass_v_drift; acceptance 5
+             "pass_v_drift",   # flag
+             "partition_residual", "highfreq_monotone_after_first",  # reader: acceptance 10
+             # gate input of the run-level budget gate (ROADMAP item 6)
+             "budget_residual_max_s05", "budget_residual_max_ss",
+         }),
+        (dict(dimension=2.5), SUMMARY_2P5D | {"pass_e_residual"}),  # flag, mu = nu only
+        (dict(dimension=2.5, nu=0.5), SUMMARY_2P5D),
+    ], ids=["3d-phys", "3d-phys-mu-ne-nu", "3d-ext-budgets-split", "2.5d", "2.5d-mu-ne-nu"])
+    def test_summary_key_set(self, tmp_path, extra, keys):
+        cfg = RunConfig(n=16, dt=1e-3, t_end=0.01, sample_every=5, amplitude=0.05, seed=1,
+                        **extra)
+        run(cfg, out_dir=tmp_path / "k")
+        s = json.loads((tmp_path / "k" / "summary.json").read_text())
+        assert set(s) == keys
+        if cfg.dimension == 3.0:
+            assert set(s["monotonicity"]) == self.MONOTONICITY
+            assert set(s["decay"]) == self.DECAY
+
     def test_25d_run_summary(self, tmp_path):
         cfg = RunConfig(dimension=2.5, n=32, dt=1e-3, t_end=0.05, sample_every=1,
                         amplitude=0.05, band_hi=2.0, seed=3,

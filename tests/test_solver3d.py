@@ -250,7 +250,7 @@ class TestStepSessionReuse:
 
     @staticmethod
     def keys(session):
-        return ["u", "B", "v_of_uB", "curl_u", "curl_B"] + (["v"] if session.extended else [])
+        return ["u", "B", "v_of_uB", "curl_B"] + (["v"] if session.extended else [])
 
     @staticmethod
     def assert_same(a, b):
