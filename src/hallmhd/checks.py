@@ -12,9 +12,9 @@ from .grid import GridSpec
 from .gronwall import GronwallTrace, gronwall_verify
 from .norms import hs_norm, interpolation_check
 from .operators import (
+    advect,
     apply_lambda,
     band_filter,
-    curl2,
     curl3,
     curl_inverse,
     gradient,
@@ -22,7 +22,6 @@ from .operators import (
 )
 from .probes import inequality_probe, kato_ponce_probe
 from .sampling import random_field, random_scalar
-from .solver25d import _tilde_advect
 
 __all__ = ["run_checks", "CHECK_TOLERANCES"]
 
@@ -59,8 +58,8 @@ def identity_suite(y: SpectralField, z: SpectralField,
     if i1_ok:
         yp = to_physical(g, y.c)
         zp = to_physical(g, z.c)
-        lhs = curl2(SpectralField(g, to_spectral(g, np.cross(yp, zp, axis=0))))
-        rhs = _tilde_advect(g, zp, yp) - _tilde_advect(g, yp, zp)
+        lhs = curl3(SpectralField(g, to_spectral(g, np.cross(yp, zp, axis=0))))
+        rhs = advect(g, zp, yp) - advect(g, yp, zp)
         scale = max(float(np.abs(rhs).max()), 1e-300)
         out["i1"] = float(np.abs(lhs.c - rhs).max()) / scale
 
@@ -76,7 +75,7 @@ def identity_suite(y: SpectralField, z: SpectralField,
         float(np.abs(axb_c - bxc_a).max()),
     ) / scale
 
-    dc = curl2(curl2(y)).c - y.grid.k2 * y.c
+    dc = curl3(curl3(y)).c - y.grid.k2 * y.c
     scale = max(float(np.abs(y.grid.k2 * y.c).max()), 1e-300)
     out["double_curl"] = float(np.abs(dc).max()) / scale
     return out

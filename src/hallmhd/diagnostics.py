@@ -30,7 +30,7 @@ import numpy as np
 from .fields import SpectralField, l2_inner, pairing
 from .grid import GridSpec
 from .norms import hs_norm
-from .operators import apply_lambda_scalar, curl3, to_physical, to_spectral
+from .operators import advect, apply_lambda_scalar, curl3, to_physical, to_spectral
 from .params import PhysicalParams
 from .solver3d import SimState3D, _SYM
 
@@ -151,13 +151,9 @@ def budget_terms(state: SimState3D, params: PhysicalParams, s: float = 0.5) -> d
     vxu = apply_lambda_scalar(g, to_spectral(g, np.cross(vp, up, axis=0)), s)
     a7 = pairing(g, vxu, lcurlv)
 
-    # v.grad B = div(B (x) v) for solenoidal v, as in the full-lattice
-    # reference of tests/oracle3d.py (the stepper folds this term into
-    # v x E and curl(v x B))
-    P = to_spectral(g, np.stack([vp[i] * Bp[j] for i in range(3) for j in range(3)]))
-    P = P.reshape((3, 3) + g.spectral_shape)
-    vgradB = np.stack([sum(1j * g.kvec[k] * P[k, j] for k in range(3)) for j in range(3)])
-    a8 = 2.0 * eps * pairing(g, apply_lambda_scalar(g, vgradB, s), lcurlv)
+    # v.grad B, as operators.advect forms it for solenoidal v (the stepper
+    # folds this term into v x E and curl(v x B))
+    a8 = 2.0 * eps * pairing(g, apply_lambda_scalar(g, advect(g, vp, Bp), s), lcurlv)
 
     return {
         "a1": a1, "a2": a2, "a3": a3, "a4": a4,

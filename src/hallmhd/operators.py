@@ -1,8 +1,9 @@
-"""Linear spectral operators: fractional derivatives, curls, Leray
-projection, curl inverse, frequency filters, gradients, padding.
+"""Spectral operators: fractional derivatives, the curl, the advection,
+Leray projection, curl inverse, frequency filters, gradients, padding.
 
-Every operator here is a homogeneous Fourier multiplier (symbol 0 at
-k = 0), acting mode-by-mode on the stored half-spectrum.  Scalar fields
+Every linear operator here is a homogeneous Fourier multiplier (symbol 0
+at k = 0), acting mode-by-mode on the stored half-spectrum; a 2D grid is
+a 3D grid with k3 = 0, as in the stepper (solver3d).  Scalar fields
 are plain coefficient arrays of grid.spectral_shape; vector fields are
 SpectralField.  Transforms use the forward-normalized DFT throughout.
 """
@@ -21,7 +22,7 @@ __all__ = [
     "apply_lambda",
     "apply_lambda_scalar",
     "curl3",
-    "curl2",
+    "advect",
     "curl_inverse",
     "leray_project",
     "band_filter",
@@ -62,14 +63,13 @@ def apply_lambda(f: SpectralField, s: float) -> SpectralField:
     return f.with_coeffs(apply_lambda_scalar(f.grid, f.c, s))
 
 
-# curls ----------------------------------------------------------------
+# curl and advection ---------------------------------------------------
 
 def curl3(f: SpectralField) -> SpectralField:
-    """ik x (.) on a 3D field."""
+    """ik x (.); a 2D grid is a 3D grid with k3 = 0, so there it is the
+    two-variable curl (d2 f3, -d1 f3, d1 f2 - d2 f1)."""
     g = f.grid
-    if g.dim != 3:
-        raise ValueError("curl3 needs a 3D grid")
-    k1, k2, k3 = g.kvec
+    k1, k2, k3 = g.kvec if g.dim == 3 else (*g.kvec, 0.0)
     c = f.c
     out = np.empty_like(c)
     out[0] = 1j * (k2 * c[2] - k3 * c[1])
@@ -78,19 +78,16 @@ def curl3(f: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def curl2(f: SpectralField) -> SpectralField:
-    """Two-variable curl of a three-component field:
-    (d2 f3, -d1 f3, d1 f2 - d2 f1)."""
-    g = f.grid
-    if g.dim != 2:
-        raise ValueError("curl2 needs a 2D grid")
-    k1, k2 = g.kvec
-    c = f.c
-    out = np.empty_like(c)
-    out[0] = 1j * k2 * c[2]
-    out[1] = -1j * k1 * c[2]
-    out[2] = 1j * (k1 * c[1] - k2 * c[0])
-    return SpectralField(g, out)
+def advect(grid: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """(a . grad) b as div(b (x) a), valid for div a = 0; on a 2D grid
+    (k3 = 0) the two-variable advection.  ap, bp are physical
+    (3, *physical_shape) arrays; returns spectral coefficients.  The
+    grid.dim x 3 products a_i b_j go through one batched transform."""
+    prod = to_spectral(grid, ap[: grid.dim, None] * bp[None])
+    acc = grid.kvec[0] * prod[0]
+    for k, p in zip(grid.kvec[1:], prod[1:]):
+        acc += k * p
+    return 1j * acc
 
 
 def curl_inverse(f: SpectralField) -> SpectralField:

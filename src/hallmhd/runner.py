@@ -65,10 +65,12 @@ __all__ = ["run", "RunResult", "NumericsError", "build_initial", "write_json",
 
 
 # pinned pass tolerances (not configurable): the energy drift, the v-drift
-# of extended 3D runs and the combined-field-law residual of 2.5D runs
+# of extended 3D runs, the combined-field-law residual of 2.5D runs and the
+# frequency-split recombination residual of runs with filter_rho
 TOL_ENERGY_DRIFT = 1e-6
 TOL_V_DRIFT = 1e-6
 TOL_E_RESIDUAL = 1e-5
+TOL_PARTITION = 1e-13
 
 
 class NumericsError(RuntimeError):
@@ -354,7 +356,7 @@ def _norm_row(session: s3.StepSession, vkey: str) -> dict:
 class _Monitor3D:
     """Norms on the session's compact band; the extended formulation adds
     the v-drift and, with compute_budgets, the critical budget; filter_rho
-    adds the frequency-split monitor."""
+    adds the frequency-split gate."""
 
     step_before = False
 
@@ -440,6 +442,8 @@ class _Monitor3D:
             tail = diffs[1:] if diffs.size > 1 else diffs
             out["highfreq_monotone_after_first"] = bool(
                 np.all(tail <= 1e-12 * max(hi[0], 1e-300)))
+            out["pass_freq_split"] = bool(self.partition_residual <= TOL_PARTITION
+                                          and out["highfreq_monotone_after_first"])
         if self.budget_residuals:
             out["budget_residual_max_s05"], out["budget_residual_max_ss"] = map(
                 max, zip(*self.budget_residuals))

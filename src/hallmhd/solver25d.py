@@ -30,8 +30,8 @@ come in one batched inverse call; E_law_terms costs 1 inverse (E) and
 2 forward transforms, rewritten_B_rhs 1 inverse (j with lap B) and 5
 forward: 7 forward and 3 inverse in all, with each sample's E-law
 terms carried to the next E_residual (its before-state when samples
-are one step apart).  Each _tilde_advect is one batched forward call;
-pocketfft transforms every slice of a batch as it would alone, so
+are one step apart).  Each operators.advect is one batched forward
+call; pocketfft transforms every slice of a batch as it would alone, so
 batching changes no bit (solver3d batches below N = 128 the same way).
 """
 
@@ -43,7 +43,7 @@ from . import solver3d as s3
 from .fields import SpectralField
 from .grid import GridSpec
 from .norms import hs_norm, inhomogeneous_hs_norm
-from .operators import curl2, gradient, to_physical, to_spectral
+from .operators import advect, curl3, gradient, to_physical, to_spectral
 from .params import PhysicalParams, StepControl
 from .sampling import random_field
 
@@ -62,15 +62,6 @@ def make_state_25d(u: SpectralField, B: SpectralField, params: PhysicalParams,
                    t: float = 0.0) -> s3.SimState3D:
     """A 2.5D state: the physical-formulation state on the 2D lattice."""
     return s3.make_state(u, B, params, t=t)
-
-
-def _tilde_advect(g: GridSpec, ap: np.ndarray, bp: np.ndarray) -> np.ndarray:
-    """(a~ . grad~) b as div~(b (x) a~), valid for div~ a~ = 0.
-    ap, bp are physical (3, n, n) arrays; returns spectral coefficients.
-    The six products a_i b_j (i = 1, 2) go through one batched transform."""
-    k1, k2 = g.kvec
-    prod = to_spectral(g, ap[:2, None] * bp[None])
-    return 1j * (k1 * prod[0] + k2 * prod[1])
 
 
 def _nonlinear_25d(session: s3.StepSession) -> tuple[np.ndarray, np.ndarray]:
@@ -105,16 +96,16 @@ def rewritten_B_rhs(state: s3.SimState3D, params: PhysicalParams,
     mask = g.dealias_mask
     eps = params.eps
     up, Bp = phys
-    jp, lapBp = to_physical(g, np.stack([curl2(state.B).c, -g.k2 * state.B.c]))
+    jp, lapBp = to_physical(g, np.stack([curl3(state.B).c, -g.k2 * state.B.c]))
 
     lapBxB = to_spectral(g, np.cross(lapBp, Bp, axis=0))
     jdotB = to_spectral(g, np.sum(jp * Bp, axis=0))
     grad_jB = gradient(g, jdotB).c
 
     c = (
-        -_tilde_advect(g, up, Bp)
-        + _tilde_advect(g, Bp, up)
-        + eps * (lapBxB + 2.0 * _tilde_advect(g, jp, Bp) - grad_jB)
+        -advect(g, up, Bp)
+        + advect(g, Bp, up)
+        + eps * (lapBxB + 2.0 * advect(g, jp, Bp) - grad_jB)
     ) * mask
     c -= params.nu * g.k2 * state.B.c
     return SpectralField(g, c)
@@ -133,9 +124,9 @@ def E_law_terms(state: s3.SimState3D, params: PhysicalParams,
     field and the spatial side of its law, dealiased.  `up` is the
     state's physical u."""
     g = state.grid
-    E = params.eps * curl2(state.u) + state.B
+    E = params.eps * curl3(state.u) + state.B
     Ep = to_physical(g, E.c)
-    adv = _tilde_advect(g, Ep, up) - _tilde_advect(g, up, Ep)
+    adv = advect(g, Ep, up) - advect(g, up, Ep)
     return E, adv * g.dealias_mask - params.mu * g.k2 * E.c
 
 

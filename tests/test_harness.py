@@ -257,7 +257,8 @@ class TestRunner:
          SUMMARY_3D | {
              "v_drift_max",    # gate input: pass_v_drift; acceptance 5
              "pass_v_drift",   # flag
-             "partition_residual", "highfreq_monotone_after_first",  # reader: acceptance 10
+             "pass_freq_split",  # flag
+             "partition_residual", "highfreq_monotone_after_first",  # gate input: pass_freq_split
              # gate input of the run-level budget gate (ROADMAP item 6)
              "budget_residual_max_s05", "budget_residual_max_ss",
          }),
@@ -299,7 +300,7 @@ class TestRunner:
         compact band, equal full-lattice hs_norm of snap_final.hmhd (v is
         the evolved v in 3D extended runs, u - eps curl B in 2.5D)."""
         from hallmhd.norms import hs_norm
-        from hallmhd.operators import curl2
+        from hallmhd.operators import curl3
 
         extra = {"formulation": "extended"} if dimension == 3.0 else {}
         cfg = RunConfig(dimension=dimension, n=16, t_end=0.02, sample_every=5, seed=2,
@@ -308,7 +309,7 @@ class TestRunner:
         last = read_records_csv(tmp_path / "r" / "timeseries.csv")[-1]
         _, fields = read_snapshot(tmp_path / "r" / "snap_final.hmhd")
         u, B = fields[:2]
-        v = fields[2] if dimension == 3.0 else u - cfg.eps * curl2(B)
+        v = fields[2] if dimension == 3.0 else u - cfg.eps * curl3(B)
         expected = {"l2_u": hs_norm(u, 0.0), "l2_b": hs_norm(B, 0.0),
                     **{f"h{tag}_{name}": hs_norm(f, s)
                        for tag, s in (("12", 0.5), ("32", 1.5))
@@ -527,6 +528,19 @@ class TestRunner:
         s = res.summary
         assert s["partition_residual"] <= 1e-13
         assert s["highfreq_monotone_after_first"]
+
+    def test_freq_split_violation_fails_the_run(self, tmp_path):
+        """High-frequency energy that rises after the first sample fails
+        pass_freq_split, so the run fails and `hallmhd run` exits 1."""
+        lines = ("dimension = 3\nformulation = extended\nn = 16\nmu = 0.05\nnu = 0.05\n"
+                 "band_hi = 1.5\nfilter_rho = 1.5\namplitude = 0.5\nt_end = 0.05\nseed = 1\n")
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(lines + f"out_dir = {tmp_path}/o\n")
+        assert cli.main(["run", "--config", str(cfgfile)]) == 1
+        s = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert s["partition_residual"] <= 1e-13
+        assert not s["highfreq_monotone_after_first"]
+        assert not s["pass_freq_split"] and not s["pass"]
 
     def test_beltrami_decay_columns(self, tmp_path):
         mu = 1.0

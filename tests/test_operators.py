@@ -9,7 +9,6 @@ from hallmhd.norms import hs_norm
 from hallmhd.operators import (
     apply_lambda,
     band_filter,
-    curl2,
     curl3,
     curl_inverse,
     gradient,
@@ -64,7 +63,7 @@ class TestCurls:
         x1, _ = g2.coordinates()
         zero = np.zeros_like(x1)
         B = SpectralField.from_physical(g2, np.stack([zero, zero, np.sin(x1)]))
-        j = to_physical(g2, curl2(B).c)
+        j = to_physical(g2, curl3(B).c)
         assert np.abs(j[0]).max() < 1e-14
         assert np.abs(j[1] + np.cos(x1)).max() < 1e-13
         assert np.abs(j[2]).max() < 1e-14

@@ -9,7 +9,7 @@ from hallmhd.checks import identity_suite
 from hallmhd.fields import SpectralField
 from hallmhd.grid import GridSpec
 from hallmhd.norms import hs_norm
-from hallmhd.operators import curl2
+from hallmhd.operators import advect, curl3
 from hallmhd.params import PhysicalParams, StepControl
 from hallmhd import solver25d as s25
 from hallmhd import solver3d as s3
@@ -84,6 +84,25 @@ class TestState:
         assert st.u.divergence_residual() < 1e-12
         assert st.B.divergence_residual() < 1e-12
 
+    def test_extended_state_tracks_physical_session(self):
+        """make_state(extended=True) on a 2D lattice: stepped beside the
+        physical session from the same data, (u, B) agree and v stays
+        u - eps curl B."""
+        g = GridSpec.create(2, 32)
+        params = PhysicalParams(0.1, 0.1, 1.0)
+        ctrl = StepControl(dt=1e-3, t_end=1.0)
+        u0, B0 = s25.make_initial_25d(g, "random_band", 0.4, seed=61)
+        phys = s3.StepSession(s3.make_state(u0, B0, params), params, ctrl)
+        ext = s3.StepSession(s3.make_state(u0, B0, params, extended=True), params, ctrl)
+        for _ in range(50):
+            phys.advance()
+            ext.advance()
+        sp, se = phys.state(), ext.state()
+        assert se.t == sp.t
+        assert rel_err(se.u.c, sp.u.c) < 1e-14
+        assert rel_err(se.B.c, sp.B.c) < 1e-14
+        assert rel_err(se.v.c, (se.u - params.eps * curl3(se.B)).c) < 1e-13
+
 
 class TestLiftTo3D:
     """Oracle: the 2.5D system is the 3D physical system on fields that do
@@ -124,6 +143,15 @@ class TestLiftTo3D:
         assert st2.t == st3.t
         assert self.slice_err(st3.u, st2.u) < 1e-13
         assert self.slice_err(st3.B, st2.B) < 1e-13
+
+    def test_curl_and_advect_match_3d_operators(self):
+        """The full-lattice operators take a 2D grid as 3D with k3 = 0."""
+        u0, B0 = s25.make_initial_25d(self.G2, "random_band", 0.3, seed=53)
+        assert self.slice_err(curl3(self.lift(B0)), curl3(B0)) < 1e-13
+        adv2, adv3 = (SpectralField(g, advect(g, u.to_physical(), B.to_physical()))
+                      for g, u, B in ((self.G2, u0, B0),
+                                      (self.G3, self.lift(u0), self.lift(B0))))
+        assert self.slice_err(adv3, adv2) < 1e-13
 
 
 class TestStepAndEResidual:
@@ -184,19 +212,19 @@ class TestStepAndEResidual:
 class TestSharedCertificateWork:
     """Batching and reuse in the certificates change no bit."""
 
-    @pytest.mark.parametrize("n", [16, 32, 48, 64])
-    def test_batched_tilde_advect_matches_component_loop(self, n):
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (2, 48), (2, 64), (3, 16)])
+    def test_batched_advect_matches_component_loop(self, dim, n):
         from hallmhd.operators import to_spectral
 
-        g = GridSpec.create(2, n)
-        u, B = s25.make_initial_25d(g, "random_band", 0.3, seed=n, hi=n / 4)
+        g = GridSpec.create(dim, n)
+        initial = s25.make_initial_25d if dim == 2 else s3.make_initial
+        u, B = initial(g, "random_band", 0.3, seed=n, hi=n / 4)
         ap, bp = u.to_physical(), B.to_physical()
-        k1, k2 = g.kvec
         ref = np.empty((3,) + g.spectral_shape, dtype=np.complex128)
         for j in range(3):
-            prod = to_spectral(g, np.stack([ap[0] * bp[j], ap[1] * bp[j]]))
-            ref[j] = 1j * (k1 * prod[0] + k2 * prod[1])
-        assert np.array_equal(s25._tilde_advect(g, ap, bp), ref)
+            prod = to_spectral(g, np.stack([ap[i] * bp[j] for i in range(dim)]))
+            ref[j] = 1j * sum(k * p for k, p in zip(g.kvec, prod))
+        assert np.array_equal(advect(g, ap, bp), ref)
 
 
 class TestIdentitySuite:
@@ -249,7 +277,7 @@ class TestFittedConstantStability:
             ctrl = StepControl(dt=5e-4, t_end=1.0)
             rows = []
             for _ in range(100):
-                v = st.u - params.eps * curl2(st.B)
+                v = st.u - params.eps * curl3(st.B)
                 rows.append((st.t, hs_norm(v, 0.0) ** 2, hs_norm(v, 1.0) ** 2,
                              hs_norm(st.u, 0.0) ** 2 + hs_norm(st.B, 0.0) ** 2 + hs_norm(v, 0.0) ** 2,
                              hs_norm(st.u, 1.0) ** 2 + hs_norm(st.B, 1.0) ** 2 + hs_norm(v, 1.0) ** 2))
