@@ -15,22 +15,22 @@ module; the full-lattice transforms of a 2.5D certificate or a 3D
 budget import scipy.fft).
 Both monitors read every record norm from the session's compact band.
 A 2.5D sample's full-lattice certificate runs in a forked worker
-process while the run steps on, when the stepper leaves a second CPU
-idle (two CPUs allowed, 2D N < 128), the platform can fork and the
-caller is not a daemonic process, and inline otherwise; run() collects
-every certificate before the records and stops the worker before it
-returns or raises.  The latest sample is kept as the session's (t,
-compact fields), scattered only to flush snap_last_good.hmhd; the
-initial state and each snapshot's are dropped once written, so past
-sample 0 the loop holds at most one full-lattice state (that of the
-sample or snapshot being taken).  Each monitor scatters its own: a 2.5D
-sample once, in its certificate job (so in the worker when there is
-one), a 3D one only under compute_budgets."""
+process while the run steps on, when two CPUs are allowed, the platform
+can fork and the caller is not a daemonic process, and inline
+otherwise; run() collects every certificate before the records and
+stops the worker before it returns or raises.  The latest sample is
+kept as the session's (t, compact fields), scattered only to flush
+snap_last_good.hmhd; the initial state and each snapshot's are dropped
+once written, so past sample 0 the loop holds at most one full-lattice
+state (that of the sample or snapshot being taken).  Each monitor
+scatters its own: a 2.5D sample once, in its certificate job (so in
+the worker when there is one), a 3D one only under compute_budgets."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -547,13 +547,13 @@ class _Monitor25D:
     session's fields.  The certificate job (_certify: the sample's one
     scatter to the full lattice, 7 forward and 3 inverse full-lattice
     transforms, the previous sample's E-law terms carried over) takes
-    the sample's compact fields and runs inline, or, when
-    sp.worker_idle, the platform can fork and the caller is not
-    daemonic, in a _CertWorker child that carries the E-law terms
-    itself, at most _CERT_QUEUE jobs outstanding until collect().  A
-    failing job then raises as inline, but up to _CERT_QUEUE samples
-    later (after any periodic snapshots between), and run() raises it
-    ahead of a later step's NumericsError."""
+    the sample's compact fields and runs inline, or, when two CPUs are
+    allowed, the platform can fork and the caller is not daemonic, in a
+    _CertWorker child that carries the E-law terms itself, at most
+    _CERT_QUEUE jobs outstanding until collect().  A failing job then
+    raises as inline, but up to _CERT_QUEUE samples later (after any
+    periodic snapshots between), and run() raises it ahead of a later
+    step's NumericsError."""
 
     def __init__(self, cfg: RunConfig, params: PhysicalParams, session: s3.StepSession):
         self.params, self.session = params, session
@@ -563,11 +563,11 @@ class _Monitor25D:
         self.e_law = params.mu == params.nu
         self.step_before = cfg.sample_every > 1 and self.e_law
         self.terms = None
-        # only onto a CPU the stepper leaves idle: with one CPU, or both lanes
-        # busy, the lane-1 thread this worker replaced measured no gain
-        # (cert_ref 3.64 -> 3.88 on one CPU, 6 pairs; 2D N = 128 1.27 -> 1.28 s)
+        # with a second CPU allowed the worker pays, two stepper lanes or one
+        # (2D, every step, 2 vCPUs: N = 128 2.04 -> 1.49 s, N = 256 4.03 -> 3.07 s);
+        # on one CPU it costs more than it overlaps (N = 64 0.66 -> 0.75 s)
         self.worker = None
-        if session.sp.worker_idle:
+        if len(os.sched_getaffinity(0)) >= 2:
             import multiprocessing
 
             # a daemonic process (a multiprocessing.Pool worker) may start none

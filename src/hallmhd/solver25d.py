@@ -22,8 +22,7 @@ extra nonlinear evaluation.  The certificates (rewritten_B_rhs,
 E_residual on two E_law_terms) evaluate the 2.5D forms on the full
 lattice, from physical fields the caller passes.  A run calls rhs_25d
 on the stepping thread, and the certificates in a forked worker process
-when the stepper leaves a second CPU idle (two CPUs allowed, N < 128),
-inline otherwise (runner).
+when two CPUs are allowed, inline otherwise (runner).
 
 Certificate transform budget per sample of a run (mu = nu): u and B
 come in one batched inverse call; E_law_terms costs 1 inverse (E) and

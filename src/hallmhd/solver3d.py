@@ -153,10 +153,8 @@ def make_state(u: SpectralField, B: SpectralField, params: PhysicalParams,
 #   2D n = 128  1.09 / 0.85 / 0.64     3D n = 24   1.06 / 1.25 / 0.93
 #   3D n = 28   1.56 / 1.76 / 1.24     3D n = 32   2.17 / 2.30 / 1.51
 #   3D n = 64   24.1 / 18.9 / 12.4
-# Two lanes also win at 3D n = 22 and 24, but a bound low enough to take
-# them would put 2D n >= 104 on two lanes as well, where the one-lane
-# plan leaves the second CPU to the 2.5D certificate worker process
-# (runner).
+# Two lanes also win at 3D n = 22 and 24 (about 10%), but a bound low
+# enough to take them would put 2D n >= 104 on two lanes as well.
 _LANE_MIN_POINTS = 16384
 
 _pool: ThreadPoolExecutor | None = None
@@ -269,7 +267,6 @@ class _Stepper3D:
         nlanes = 2 if big and two_cpus else 1
         self.stack = 1 if big else nprod
         self.lanes = [_Lane(grid, self.stack, inv_idx, off_idx) for _ in range(nlanes)]
-        self.worker_idle = two_cpus and nlanes == 1  # a second CPU that no lane uses
         self.w_pair = np.broadcast_to(grid.pair_weight, spec).reshape(-1)[self.idx].copy()
         self._hs_weights: dict[float, np.ndarray] = {}
 

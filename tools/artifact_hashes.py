@@ -7,13 +7,15 @@ Writes every artifact into OUT (which must not exist yet) and prints one
 `sha256  path` line per file, sorted by path.  The set: a 3D extended
 N = 64 run with periodic snapshots, a 3D physical N = 24 run with mu != nu
 and periodic snapshots, all seven presets (cut short, or at N = 16 or 32),
-four 2.5D runs (one at N = 128, where the stepper may take two lanes and
-each sample's certificate runs inline), two compute_budgets runs, a
-one-step 3D and a two-step 2.5D run (the shortest dissipation series), a
-3D extended run that breaks a step guard mid-run (its snap_last_good.hmhd),
-the `check` output, `inspect` of a snapshot, and probe CSVs.  Takes about
-5 s on a 2-vCPU machine, with two CPUs or one.  Run it at both versions,
-with two CPUs and under `taskset -c 0`, and diff the listings.
+four 2.5D runs (one at N = 128, where the stepper may take two lanes),
+two compute_budgets runs, a one-step 3D and a two-step 2.5D run (the
+shortest dissipation series), a 3D extended run that breaks a step guard
+mid-run (its snap_last_good.hmhd), the `check` output, `inspect` of a
+snapshot, and probe CSVs.  Takes about 5 s on a 2-vCPU machine, with two
+CPUs or one.  Run it at both versions, with two CPUs and under
+`taskset -c 0`, and diff the listings; all four must match (with two
+CPUs each 2.5D sample's certificate runs in the forked worker, under
+`taskset -c 0` inline).
 """
 
 from __future__ import annotations
